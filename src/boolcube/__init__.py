@@ -17,7 +17,7 @@ from .macwilliams import (DistanceDistribution, DualDistribution,
 from .coloring import (ColoringVerdict, ParameterMatrix, check_perfect,
                        cor_from_matrix, is_perfect_code, spectral_support)
 from .theorem import (SweepSummary, TheoremReport, bf_bound, code_rigidity,
-                      equality_form, fdf_bound, sweep, verify)
+                      fdf_bound, sweep, verify)
 from .search import (Construction, SearchResult, affine_coloring,
                      backtrack_search, construct, enumerate_perfect,
                      half_cube, hamming_code)

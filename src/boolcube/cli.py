@@ -1,7 +1,8 @@
 """Batch front-end: parse set documents, run the analyses, emit reports.
 
-Exit codes: 0 ok, 2 parse/parameter error, 3 constant set, 4 infeasible
-search parameters, 5 sweep violation.
+Exit codes: 0 ok, 2 parse/parameter error (including a dimension above
+the spectrum cap), 3 constant set or rejected dense set (--no-complement),
+4 infeasible search parameters, 5 sweep violation.
 """
 from __future__ import annotations
 
@@ -11,11 +12,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cube_core import VertexSet, make_set, stats
-from .spectral import cor_order
-from .macwilliams import (distance_distribution, krawtchouk,
-                          macwilliams_from_distances)
-from .coloring import ParameterMatrix, check_perfect, spectral_support
+from .cube_core import SPECTRUM_N_MAX, VertexSet, _check_dimension, make_set
+from .macwilliams import inverse_macwilliams, krawtchouk
+from .coloring import ParameterMatrix
 from .theorem import sweep, verify
 from .search import (Construction, backtrack_search, construct,
                      enumerate_perfect)
@@ -36,13 +35,16 @@ def parse_document(doc: dict) -> VertexSet:
     if not isinstance(doc, dict) or "n" not in doc:
         raise ValueError("document must be an object with an 'n' field")
     n = doc["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("'n' must be an integer")
+    _check_dimension(n)
     has_v = "vertices" in doc
     has_m = "mask_hex" in doc
     if has_v == has_m:
         raise ValueError("exactly one of 'vertices' or 'mask_hex' is required")
     if has_v:
+        if not isinstance(doc["vertices"], list):
+            raise ValueError("'vertices' must be a list")
         return make_set(n, doc["vertices"])
     hexstr = doc["mask_hex"]
     if not isinstance(hexstr, str):
@@ -71,14 +73,13 @@ def serialize_document(S: VertexSet, as_mask: bool = False) -> dict:
 
 
 def build_report(S: VertexSet, allow_complement: bool = True) -> dict:
-    """Full analysis of one set; all rationals as "p/q" in lowest terms."""
+    """Full analysis of one set; all rationals as "p/q" in lowest terms.
+
+    Formats `verify`'s result: N is recovered exactly from its dual D.
+    """
     rep = verify(S, allow_complement=allow_complement)
-    T = S
-    if rep.complemented:
-        from .cube_core import complement
-        T = complement(S)
-    dist = distance_distribution(T)
-    dual = macwilliams_from_distances(dist, krawtchouk(T.n))
+    dual = rep.dual
+    dist = inverse_macwilliams(dual, rep.size, krawtchouk(rep.n))
     return {
         "version": __version__,
         "n": rep.n,
@@ -98,7 +99,7 @@ def build_report(S: VertexSet, allow_complement: bool = True) -> dict:
         "distance_distribution": [_frac(x) for x in dist.B],
         "dual_counts": list(dual.duals),
         "dual_distribution": [_frac(x) for x in dual.Bprime],
-        "spectral_support": sorted(spectral_support(T)),
+        "spectral_support": list(dual.support),
     }
 
 
@@ -131,15 +132,13 @@ def _load_input(path: str | None):
 
 def cmd_analyze(args) -> int:
     try:
-        doc = _load_input(args.input)
-        S = parse_document(doc)
+        S = parse_document(_load_input(args.input))
+        if S.n > SPECTRUM_N_MAX:
+            raise ValueError("dimension %d exceeds spectrum cap %d"
+                             % (S.n, SPECTRUM_N_MAX))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    if S.size == 0 or S.size == (1 << S.n):
-        print("constant set: |S|=%d in E^%d has no analysis" % (S.size, S.n),
-              file=sys.stderr)
-        return EXIT_CONSTANT
     try:
         rep = build_report(S, allow_complement=args.allow_complement)
     except ValueError as exc:
@@ -151,13 +150,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
-        if args.kind == "hamming":
-            c = Construction("hamming", m=args.m)
-        elif args.kind == "affine":
-            c = Construction("affine", n=args.n, v=args.v, eps=args.eps)
-        else:
-            c = Construction("half_cube", n=args.n, coord=args.coord)
-        S = construct(c)
+        S = construct(Construction(args.kind.replace("-", "_"), n=args.n,
+                                   v=args.v, eps=args.eps, m=args.m,
+                                   coord=args.coord))
     except (TypeError, ValueError) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -167,6 +162,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.budget < 0:
+        print("parameter error: --budget must be >= 0", file=sys.stderr)
+        return EXIT_PARSE
     target = ParameterMatrix(args.n, args.b, args.c)
     try:
         if args.exhaustive:
@@ -197,7 +195,11 @@ def cmd_search(args) -> int:
 def cmd_sweep(args) -> int:
     import time
     t0 = time.perf_counter()
-    summary = sweep(args.n)
+    try:
+        summary = sweep(args.n)
+    except ValueError as exc:
+        print("parameter error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     dt = time.perf_counter() - t0
     print("sweep n=%d: %d subsets checked in %.3fs" % (args.n,
                                                        summary.checked, dt))
@@ -242,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="half-cube: pinned coordinate")
     pc.add_argument("--as-mask", action="store_true",
                     help="emit mask_hex instead of a vertex list")
-    pc.set_defaults(func=cmd_construct,
-                    kind_fix=lambda k: k.replace("-", "_"))
+    pc.set_defaults(func=cmd_construct)
 
     ps = sub.add_parser("search", help="search for perfect colorings")
     ps.add_argument("--n", type=int, required=True)
@@ -266,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "kind", None) == "half-cube":
-        args.kind = "half_cube"
     return args.func(args)
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import VertexSet, index_to_vertex
-from .spectral import _membership_array, cor_order, transform, weight_table
+from .spectral import _membership_array, transform, weight_table
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,13 @@ class ColoringVerdict:
 
 
 def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """(membership array, per-vertex count of in-S neighbors), over all of E^n."""
+    """(membership array, per-vertex count of in-S neighbors) over E^n, in
+    uint8; the flipped axis of the (-1, 2, 2^k) view pairs u with u ^ 2^k."""
     arr = _membership_array(S)
-    size = 1 << S.n
-    idx = np.arange(size, dtype=np.int64)
-    cnt = np.zeros(size, dtype=np.int64)
+    cnt = np.zeros_like(arr)
     for k in range(S.n):
-        cnt += arr[idx ^ (1 << k)]
+        view = cnt.reshape(-1, 2, 1 << k)
+        view += arr.reshape(-1, 2, 1 << k)[:, ::-1]
     return arr, cnt
 
 
@@ -60,10 +60,8 @@ def check_perfect(S: VertexSet) -> ColoringVerdict:
     if size == 0 or size == (1 << S.n):
         raise ValueError("constant colorings have no parameter matrix")
     arr, cnt = _neighbor_counts(S)
-    in_idx = np.flatnonzero(arr == 1)
-    out_idx = np.flatnonzero(arr == 0)
-    ref_in = cnt[in_idx[0]]
-    ref_out = cnt[out_idx[0]]
+    ref_in = cnt[np.argmax(arr)]
+    ref_out = cnt[np.argmin(arr)]
     bad = (cnt != np.where(arr == 1, ref_in, ref_out))
     if bad.any():
         w = int(np.flatnonzero(bad)[0])
@@ -95,11 +93,3 @@ def is_perfect_code(S: VertexSet) -> bool:
         return False
     v = check_perfect(S)
     return v.is_perfect and v.matrix.b == S.n and v.matrix.c == 1
-
-
-def matrix_cor_consistent(S: VertexSet) -> bool:
-    """Cross-check helper: matrix-derived cor equals the spectral cor."""
-    v = check_perfect(S)
-    if not v.is_perfect:
-        return True
-    return cor_from_matrix(v.matrix) == cor_order(S)

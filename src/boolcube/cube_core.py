@@ -19,7 +19,7 @@ def index_to_vertex(i: int, n: int) -> str:
 
 
 def _check_vertex(v: str, n: int) -> None:
-    if len(v) != n or any(ch not in "01" for ch in v):
+    if not isinstance(v, str) or len(v) != n or any(ch not in "01" for ch in v):
         raise ValueError("malformed vertex %r for dimension %d" % (v, n))
 
 

@@ -4,6 +4,11 @@ transform, all in exact integer/rational arithmetic.
 Integer carriers: N_i are ordered pair counts, D_k are per-weight sums of
 squared Walsh coefficients.  The rationals B_i = N_i/|S| and B'_k = D_k/|S|^2
 are derived on demand.
+
+An analysis (`theorem.verify` and the report) takes the spectral route only:
+D = `macwilliams_from_spectrum` of its one transform, N = `inverse_macwilliams`
+of D.  The cross-check routes, compared with it in the tests, are the pairwise
+scan of `distance_distribution` and the Krawtchouk `macwilliams_from_distances`.
 """
 from __future__ import annotations
 
@@ -48,6 +53,11 @@ class DualDistribution:
         sq = self.size * self.size
         return tuple(Fraction(d, sq) for d in self.duals)
 
+    @property
+    def support(self) -> tuple:
+        """Weights k with D_k > 0: those carrying a nonzero Walsh coefficient."""
+        return tuple(k for k, d in enumerate(self.duals) if d)
+
 
 @lru_cache(maxsize=None)
 def krawtchouk(n: int) -> KrawtchoukTable:
@@ -63,26 +73,14 @@ def krawtchouk(n: int) -> KrawtchoukTable:
     return KrawtchoukTable(n, values)
 
 
-@lru_cache(maxsize=None)
-def _popcount16() -> np.ndarray:
-    t = np.arange(1 << 16, dtype=np.int64)
-    out = np.zeros(1 << 16, dtype=np.int64)
-    for k in range(16):
-        out += (t >> k) & 1
-    out.setflags(write=False)
-    return out
-
-
-def _pairwise_counts(members: list[int], n: int) -> list[int]:
-    pc = _popcount16()
+def _pairwise_counts(members: list[int], n: int) -> tuple:
     idxs = np.asarray(members, dtype=np.int64)
     counts = np.zeros(n + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, len(idxs)))
     for lo in range(0, len(idxs), chunk):
-        x = idxs[lo:lo + chunk, None] ^ idxs[None, :]
-        d = pc[x & 0xFFFF] + pc[x >> 16]
+        d = np.bitwise_count(idxs[lo:lo + chunk, None] ^ idxs[None, :])
         counts += np.bincount(d.ravel(), minlength=n + 1)[:n + 1]
-    return [int(c) for c in counts]
+    return tuple(int(c) for c in counts)
 
 
 def distance_distribution(S: VertexSet) -> DistanceDistribution:
@@ -91,12 +89,11 @@ def distance_distribution(S: VertexSet) -> DistanceDistribution:
     size = S.size
     if size == 0:
         raise ValueError("distance distribution undefined for the empty set")
-    if size <= PAIRWISE_LIMIT:
-        counts = _pairwise_counts(S.member_indices(), S.n)
-    else:
+    if size > PAIRWISE_LIMIT:
         dual = macwilliams_from_spectrum(transform(S), size)
-        counts = list(inverse_macwilliams(dual, size, krawtchouk(S.n)).counts)
-    return DistanceDistribution(S.n, size, tuple(counts))
+        return inverse_macwilliams(dual, size, krawtchouk(S.n))
+    return DistanceDistribution(S.n, size,
+                                _pairwise_counts(S.member_indices(), S.n))
 
 
 def macwilliams_from_spectrum(sp: Spectrum, size: int) -> DualDistribution:
@@ -104,7 +101,7 @@ def macwilliams_from_spectrum(sp: Spectrum, size: int) -> DualDistribution:
     if size == 0:
         raise ValueError("dual distribution undefined for |S| = 0")
     wt = weight_table(sp.n)
-    sq = sp.coeffs.astype(np.int64) ** 2
+    sq = sp.coeffs ** 2
     duals = tuple(int(sq[wt == k].sum()) for k in range(sp.n + 1))
     return DualDistribution(sp.n, size, duals)
 

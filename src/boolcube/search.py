@@ -162,8 +162,10 @@ def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
 
 def _check_feasible(n: int, target: ParameterMatrix) -> int:
     b, c = target.b, target.c
-    if not (0 <= b <= n and 0 <= c <= n) or b + c == 0:
-        raise ValueError("parameters b=%r c=%r out of range" % (b, c))
+    if not (1 <= b <= n and 1 <= c <= n):  # the cube is connected
+        raise ValueError("parameters b=%r c=%r out of range [1, %d]: a "
+                         "non-constant perfect coloring has b, c >= 1"
+                         % (b, c, n))
     if (b + c) % 2:
         raise ValueError("b + c must be even (b=%d, c=%d)" % (b, c))
     total = 1 << n

@@ -45,14 +45,14 @@ def _membership_array(S: VertexSet) -> np.ndarray:
 
 
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """Butterfly on (-1, 2, step) views of `a`: (x, y) -> (x + y, x - y)."""
     step = 1
-    size = a.shape[0]
-    while step < size:
-        b = a.reshape(-1, 2 * step)
-        x = b[:, :step].copy()
-        y = b[:, step:].copy()
-        b[:, :step] = x + y
-        b[:, step:] = x - y
+    while step < a.shape[0]:
+        b = a.reshape(-1, 2, step)
+        x, y = b[:, 0], b[:, 1]
+        x += y
+        y *= -2
+        y += x
         step *= 2
     return a
 

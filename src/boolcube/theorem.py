@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import VertexSet, complement, stats
-from .spectral import cor_order, weight_table
-from .coloring import ParameterMatrix, check_perfect
+from .spectral import cor_order, transform, weight_table
+from .macwilliams import DualDistribution, macwilliams_from_spectrum
+from .coloring import ParameterMatrix, check_perfect, is_perfect_code
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,15 @@ class TheoremReport:
     fdf_bound_ok: bool
     bf_bound_ok: bool
     complemented: bool
+    dual: DualDistribution  # of the analysed set (the complement if swapped)
 
 
 def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, bool]:
     size = S.size
     total = 1 << S.n
     if size == 0 or size == total:
-        raise ValueError("constant sets are rejected")
+        raise ValueError("constant set: |S|=%d in E^%d has no analysis"
+                         % (size, S.n))
     if 2 * size > total:
         if not allow_complement:
             raise ValueError("density above 1/2; pass allow_complement=True "
@@ -51,9 +54,12 @@ def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, bool]:
 
 
 def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
+    """The whole analysis from one transform: cor is read off the support
+    of the dual distribution D (D_0 = |S|^2 > 0), the bounds off (n, rho, cor)."""
     T, swapped = _normalize(S, allow_complement)
     st = stats(T)
-    cor = cor_order(T)
+    dual = macwilliams_from_spectrum(transform(T), st.size)
+    cor = dual.support[1] - 1
     lhs = st.nei + 2 * (cor + 1) * (1 - st.density)
     slack = T.n - lhs
     verdict = check_perfect(T)
@@ -67,33 +73,31 @@ def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
         slack=slack,
         is_perfect=verdict.is_perfect,
         matrix=verdict.matrix,
-        fdf_bound_ok=fdf_bound(T),
-        bf_bound_ok=bf_bound(T),
+        fdf_bound_ok=_fdf_ok(T.n, st.density, cor),
+        bf_bound_ok=_bf_ok(T.n, st.density, cor),
         complemented=swapped,
+        dual=dual,
     )
 
 
-def equality_form(S: VertexSet, allow_complement: bool = True) -> bool:
-    """nei = rho*n + (n - 2(cor+1))(1 - rho), exactly; same as slack = 0."""
-    T, _ = _normalize(S, allow_complement)
-    st = stats(T)
-    cor = cor_order(T)
-    return st.nei == st.density * T.n + (T.n - 2 * (cor + 1)) * (1 - st.density)
+def _fdf_ok(n: int, rho: Fraction, cor: int) -> bool:
+    """cor <= 2n/3 - 1 for unbalanced functions (balanced ones are exempt)."""
+    return rho == Fraction(1, 2) or 3 * (cor + 1) <= 2 * n
+
+
+def _bf_ok(n: int, rho: Fraction, cor: int) -> bool:
+    """rho >= 1 - n / (2(cor+1)), exact rational comparison."""
+    return rho >= 1 - Fraction(n, 2 * (cor + 1))
 
 
 def fdf_bound(S: VertexSet) -> bool:
-    """cor <= 2n/3 - 1 for unbalanced functions (balanced ones are exempt)."""
-    st = stats(S)
-    if st.density == Fraction(1, 2):
-        return True
-    return 3 * (cor_order(S) + 1) <= 2 * S.n
+    """Fon-Der-Flaass: cor <= 2n/3 - 1 unless S is balanced."""
+    return _fdf_ok(S.n, stats(S).density, cor_order(S))
 
 
 def bf_bound(S: VertexSet) -> bool:
-    """rho >= 1 - n / (2(cor+1)), exact rational comparison."""
-    st = stats(S)
-    cor = cor_order(S)
-    return st.density >= 1 - Fraction(S.n, 2 * (cor + 1))
+    """Bierbrauer-Friedman: rho >= 1 - n / (2(cor+1))."""
+    return _bf_ok(S.n, stats(S).density, cor_order(S))
 
 
 def code_rigidity(S: VertexSet, reference_n: int) -> bool:
@@ -110,7 +114,6 @@ def code_rigidity(S: VertexSet, reference_n: int) -> bool:
     rho = Fraction(S.size, 1 << S.n)
     if rho != Fraction(1, reference_n + 1) or cor_order(S) != (reference_n - 1) // 2:
         return True
-    from .coloring import is_perfect_code
     return is_perfect_code(S)
 
 

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from boolcube import VertexSet
+from boolcube import VertexSet, spectral
+from boolcube.macwilliams import PAIRWISE_LIMIT
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
 
@@ -176,3 +178,71 @@ def test_report_determinism(hamming7):
     a = json.dumps(build_report(hamming7), sort_keys=True)
     b = json.dumps(build_report(hamming7), sort_keys=True)
     assert a == b
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 21, "vertices": ["0" * 21]},
+    {"n": 24, "mask_hex": "01" + "0" * ((1 << 24) // 4 - 2)},
+])
+def test_analyze_above_spectrum_cap_exit2(tmp_path, capsys, doc):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert "exceeds spectrum cap 20" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": True, "vertices": ["1"]},
+    {"n": 1, "vertices": "01"},
+    {"n": 3, "vertices": [1]},
+    {"n": 25, "mask_hex": "00"},
+])
+def test_analyze_rejects_malformed_documents_exit2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert err.startswith("parse error")
+    with pytest.raises(ValueError):
+        parse_document(doc)
+
+
+def test_sweep_out_of_range_exit2(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--n", "5"])
+    assert code == 2 and out == ""
+    assert "2 <= n <= 4" in err
+
+
+def test_search_negative_budget_exit2(capsys):
+    code, out, err = run_cli(capsys, ["search", "--n", "3", "--b", "1",
+                                      "--c", "1", "--budget", "-5"])
+    assert code == 2 and out == ""
+    assert "--budget" in err
+
+
+@pytest.mark.parametrize("b,c", [(0, 2), (2, 0), (0, 0)])
+def test_search_zero_b_or_c_exit4(capsys, b, c):
+    code, out, err = run_cli(capsys, ["search", "--n", "3", "--b", str(b),
+                                      "--c", str(c)])
+    assert code == 4 and out == ""
+    assert "b, c >= 1" in err
+
+
+@pytest.mark.parametrize("size,complemented", [
+    (PAIRWISE_LIMIT + 1000, False),   # dense
+    (100, False),                     # sparse
+    (12000, True),                    # density > 1/2: complemented
+])
+def test_build_report_runs_one_fwht(monkeypatch, size, complemented):
+    n = 14
+    members = random.Random(size).sample(range(1 << n), size)
+    S = VertexSet(n, sum(1 << i for i in members))
+    calls = []
+    fwht = spectral._fwht_inplace
+    monkeypatch.setattr(spectral, "_fwht_inplace",
+                        lambda a: calls.append(1) or fwht(a))
+    rep = build_report(S)
+    assert len(calls) == 1
+    assert rep["complemented"] is complemented
+    assert rep["size"] == min(size, (1 << n) - size)

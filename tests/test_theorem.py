@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from boolcube import (VertexSet, bf_bound, check_perfect, code_rigidity,
-                      complement, equality_form, fdf_bound, full_set,
-                      half_cube, is_perfect_code, make_set, sweep, verify)
+                      complement, cor_order, fdf_bound, full_set, half_cube,
+                      is_perfect_code, make_set, stats, sweep, verify)
 from boolcube.cube_core import index_to_vertex
 
 from conftest import random_set
@@ -59,26 +59,34 @@ def test_slack_is_exact():
         assert r.slack == r.n - r.lhs
 
 
+def _equality_form(S: VertexSet) -> bool:
+    """nei = rho*n + (n - 2(cor+1))(1 - rho) on the set verify analyses,
+    from stats and the spectral cor_order route."""
+    T = complement(S) if 2 * S.size > 1 << S.n else S
+    st, cor = stats(T), cor_order(T)
+    return st.nei == st.density * T.n + (T.n - 2 * (cor + 1)) * (1 - st.density)
+
+
 def test_equality_form_matches_slack():
     rng = random.Random(5)
     for n in range(2, 5):
         for mask in random.Random(n).sample(range(1, (1 << (1 << n)) - 1),
                                             k=min(200, (1 << (1 << n)) - 2)):
             S = VertexSet(n, mask)
-            assert equality_form(S) == (verify(S).slack == 0)
+            assert _equality_form(S) == (verify(S).slack == 0)
     for _ in range(30):
         S = random_set(rng, rng.randint(5, 8))
-        assert equality_form(S) == (verify(S).slack == 0)
+        assert _equality_form(S) == (verify(S).slack == 0)
 
 
 def test_equality_form_examples(hamming7):
-    assert equality_form(hamming7)
-    assert not equality_form(make_set(3, ["000"]))
+    assert verify(hamming7).slack == 0
+    assert verify(make_set(3, ["000"])).slack != 0
     # parity kernel = affine coloring on the all-ones vector
     for n in (2, 3, 4):
         S = make_set(n, [index_to_vertex(i, n) for i in range(1 << n)
                          if bin(i).count("1") % 2 == 0])
-        assert equality_form(S)
+        assert verify(S).slack == 0
         v = check_perfect(S)
         assert v.is_perfect and (v.matrix.b, v.matrix.c) == (n, n)
 
@@ -103,7 +111,6 @@ def test_bf_equality_cases_are_perfect():
     for n in (2, 3):
         for mask in range(1, (1 << (1 << n)) - 1):
             S = VertexSet(n, mask)
-            from boolcube import cor_order, stats
             rho = stats(S).density
             if rho == 1 - Fraction(n, 2 * (cor_order(S) + 1)):
                 assert check_perfect(S).is_perfect
@@ -122,7 +129,6 @@ def test_code_rigidity_vacuous():
 
 
 def test_code_rigidity_exhaustive_n3():
-    from boolcube import cor_order
     H = make_set(3, ["000", "111"])
     assert is_perfect_code(H)
     for mask in range(1, 255):
