@@ -165,6 +165,9 @@ def cmd_search(args) -> int:
     if args.budget < 0:
         print("parameter error: --budget must be >= 0", file=sys.stderr)
         return EXIT_PARSE
+    if args.max_results is not None and args.max_results < 1:
+        print("parameter error: --max-results must be >= 1", file=sys.stderr)
+        return EXIT_PARSE
     target = ParameterMatrix(args.n, args.b, args.c)
     try:
         if args.exhaustive:

@@ -71,6 +71,29 @@ def check_perfect(S: VertexSet) -> ColoringVerdict:
     return ColoringVerdict(True, matrix, None)
 
 
+def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
+    """The exhaustive engine: every subset of E^n at once, row m being the
+    set with mask m.  Returns the int64 membership matrix A[m, u] =
+    (m >> u) & 1, the row sizes |S|, the in-S neighbor counts
+    C = A @ adjacency, the perfect verdict per row (non-constant, with one
+    in-S neighbor count over the S-vertices and one over the rest), and b
+    and c per row (meaningful where perfect)."""
+    size = 1 << n
+    vid = np.arange(size, dtype=np.int64)
+    A = (np.arange(1 << size, dtype=np.int64)[:, None] >> vid[None, :]) & 1
+    adj = (weight_table(n)[vid[:, None] ^ vid[None, :]] == 1).astype(np.int64)
+    C = A @ adj
+    s = A.sum(axis=1)
+    member = A == 1
+    in_min = np.where(member, C, size + 1).min(axis=1)
+    in_max = np.where(member, C, -1).max(axis=1)
+    out_min = np.where(member, size + 1, C).min(axis=1)
+    out_max = np.where(member, -1, C).max(axis=1)
+    perfect = ((s > 0) & (s < size) & (in_min == in_max)
+               & (out_min == out_max))
+    return A, s, C, perfect, n - in_min, out_min
+
+
 def cor_from_matrix(m: ParameterMatrix) -> int:
     """cor = (b+c)/2 - 1 for a genuine perfect coloring."""
     bc = m.b + m.c

@@ -5,8 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cube_core import N_MAX, VertexSet, index_to_vertex, vertex_index, _check_dimension, _check_vertex
-from .coloring import ParameterMatrix, check_perfect
+import numpy as np
+
+from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
+                        _low_bit_pattern, complement, vertex_index)
+from .coloring import ParameterMatrix, _all_subsets, check_perfect
 
 ENUMERATE_N_MAX = 4
 
@@ -21,6 +24,17 @@ class Construction:
     coord: int = 1            # half_cube: the pinned coordinate
 
 
+def _odd_parity_mask(n: int, v: int) -> int:
+    """Bitmask over 2^n positions selecting indices i with popcount(i & v)
+    odd: the XOR, over the bits k of v, of the indices whose bit k is 1."""
+    full = (1 << (1 << n)) - 1
+    odd = 0
+    for k in range(n):
+        if v >> k & 1:
+            odd ^= full ^ _low_bit_pattern(n, k)
+    return odd
+
+
 def hamming_code(m: int) -> VertexSet:
     """Codewords of the kernel of the parity-check matrix whose columns are
     the binary expansions of 1..n, n = 2^m - 1."""
@@ -30,17 +44,14 @@ def hamming_code(m: int) -> VertexSet:
     if n > N_MAX:
         raise ValueError("hamming(m=%d) gives n=%d beyond the cap %d"
                          % (m, n, N_MAX))
-    mask = 0
-    for idx in range(1 << n):
-        syn = 0
-        rest = idx
-        while rest:
-            low = rest & -rest
-            syn ^= n - (low.bit_length() - 1)  # bit p from LSB is coordinate n-p
-            rest ^= low
-        if syn == 0:
-            mask |= 1 << idx
-    return VertexSet(n, mask)
+    # Bit p of an index (from the LSB) is coordinate n - p, whose column is
+    # the binary expansion of n - p; syndrome bit j is the parity of the
+    # index's bits p with bit j of n - p set.
+    nonzero = 0
+    for j in range(m):
+        row = sum(1 << p for p in range(n) if (n - p) >> j & 1)
+        nonzero |= _odd_parity_mask(n, row)
+    return complement(VertexSet(n, nonzero))
 
 
 def affine_coloring(n: int, v: str, eps: int = 0) -> VertexSet:
@@ -52,11 +63,8 @@ def affine_coloring(n: int, v: str, eps: int = 0) -> VertexSet:
         raise ValueError("affine construction needs a nonzero vector")
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
-    mask = 0
-    for idx in range(1 << n):
-        if (idx & vi).bit_count() % 2 == eps:
-            mask |= 1 << idx
-    return VertexSet(n, mask)
+    odd = VertexSet(n, _odd_parity_mask(n, vi))
+    return odd if eps else complement(odd)
 
 
 def half_cube(n: int, coord: int = 1) -> VertexSet:
@@ -64,12 +72,7 @@ def half_cube(n: int, coord: int = 1) -> VertexSet:
     _check_dimension(n)
     if not 1 <= coord <= n:
         raise ValueError("coordinate %r out of range" % (coord,))
-    bit = 1 << (n - coord)
-    mask = 0
-    for idx in range(1 << n):
-        if not idx & bit:
-            mask |= 1 << idx
-    return VertexSet(n, mask)
+    return VertexSet(n, _low_bit_pattern(n, n - coord))
 
 
 def construct(c: Construction) -> VertexSet:
@@ -89,9 +92,15 @@ def construct(c: Construction) -> VertexSet:
 class SearchResult:
     n: int
     target: Optional[ParameterMatrix]
-    found: tuple  # VertexSets, in increasing mask order
-    exhaustive: bool
+    # VertexSets, in increasing mask order, except that backtrack_search
+    # without canonical lists them in search order
+    found: tuple
+    stop_reason: str  # "complete" | "budget" | "max_results"
     nodes: int = 0
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.stop_reason == "complete"
 
 
 def canonical_mask(S: VertexSet) -> int:
@@ -118,37 +127,15 @@ def _dedupe_canonical(sets: list[VertexSet]) -> list[VertexSet]:
 
 def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
                       canonical: bool = False) -> SearchResult:
-    """Brute force over all 2^(2^n) subsets; every hit certified by the
-    direct per-vertex scan."""
+    """Brute force over all 2^(2^n) subsets with the exhaustive engine that
+    `sweep` also runs; every hit certified by the direct per-vertex scan."""
     if not 1 <= n <= ENUMERATE_N_MAX:
         raise ValueError("exhaustive enumeration supports n <= %d"
                          % ENUMERATE_N_MAX)
-    size = 1 << n
-    nbr = [[u ^ (1 << k) for k in range(n)] for u in range(size)]
+    _, _, _, perfect, bs, cs = _all_subsets(n)
     found = []
-    for mask in range(1, (1 << size) - 1):
-        bits = [(mask >> u) & 1 for u in range(size)]
-        ref_in = ref_out = None
-        ok = True
-        for u in range(size):
-            cnt = 0
-            for w in nbr[u]:
-                cnt += bits[w]
-            if bits[u]:
-                if ref_in is None:
-                    ref_in = cnt
-                elif cnt != ref_in:
-                    ok = False
-                    break
-            else:
-                if ref_out is None:
-                    ref_out = cnt
-                elif cnt != ref_out:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        b, c = n - ref_in, ref_out
+    for mask in np.flatnonzero(perfect).tolist():
+        b, c = int(bs[mask]), int(cs[mask])
         if target is not None and (b, c) != (target.b, target.c):
             continue
         S = VertexSet(n, mask)
@@ -157,7 +144,7 @@ def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
         found.append(S)
     if canonical:
         found = _dedupe_canonical(found)
-    return SearchResult(n, target, tuple(found), exhaustive=True)
+    return SearchResult(n, target, tuple(found), stop_reason="complete")
 
 
 def _check_feasible(n: int, target: ParameterMatrix) -> int:
@@ -180,78 +167,85 @@ def backtrack_search(n: int, target: ParameterMatrix, budget: int = 10 ** 7,
                      canonical: bool = False) -> SearchResult:
     """Depth-first color assignment in vertex-index order with sound pruning.
 
-    Prunes on any vertex whose final in-S neighbor count can no longer reach
-    its color's requirement (b out-of-S neighbors for S-vertices, c in-S
-    neighbors for the rest), plus the cardinality balance.  Hitting the node
-    budget or max_results returns partial results with exhaustive=False.
+    Vertex d gets color 1 (in S) before color 0.  A node is one assignment;
+    it is pruned when the cardinality balance can no longer be met, or when
+    d or a neighbor d ^ 2^k can no longer reach its color's requirement of
+    in-S neighbors (n - b for S-vertices, c for the rest; an undecided
+    vertex must still be able to meet one of the two).  Every leaf is
+    certified by `check_perfect`.  The search stops after `budget` nodes
+    or `max_results` colorings; `stop_reason` says which, or "complete".
+
+    The traversal is one loop over an explicit cursor (depth d, color to
+    try next): the colors assigned so far, 2^n bytes, are the stack, and
+    neighbors are computed as d ^ 2^k, with no per-vertex table and no
+    recursion.  Besides the colors it keeps two 2^n-entry counters: the
+    decided and the in-S neighbors of every vertex.
     """
     _check_dimension(n)
+    if max_results is not None and max_results < 1:
+        raise ValueError("max_results must be >= 1, got %r" % (max_results,))
     s_target = _check_feasible(n, target)
     size = 1 << n
-    need_in = n - target.b   # required in-S neighbors of an S-vertex
-    need_out = target.c      # required in-S neighbors of a non-S vertex
-    lo_need = min(need_in, need_out)
-    hi_need = max(need_in, need_out)
-    nbr = [[u ^ (1 << k) for k in range(n)] for u in range(size)]
+    need = (target.c, n - target.b)  # required in-S neighbors, by color
+    lo_need, hi_need = min(need), max(need)
+    bits = [1 << k for k in range(n)]
 
-    color = [-1] * size
-    cnt_in = [0] * size    # decided in-S neighbors
-    decided = [0] * size   # decided neighbors
+    color = bytearray(size)  # meaningful below the cursor only
+    cnt_in = [0] * size      # decided in-S neighbors
+    decided = [0] * size     # decided neighbors
     found: list[VertexSet] = []
-    state = {"nodes": 0, "exhausted": True, "size": 0}
-
-    def feasible(u: int) -> bool:
-        cs = cnt_in[u]
-        und = n - decided[u]
-        col = color[u]
-        if col == 1:
-            return cs <= need_in <= cs + und
-        if col == 0:
-            return cs <= need_out <= cs + und
-        return cs <= hi_need and cs + und >= lo_need
-
-    def dfs(d: int) -> bool:
-        if d == size:
-            S = VertexSet(n, sum(1 << u for u in range(size) if color[u] == 1))
-            verdict = check_perfect(S)
-            assert verdict.is_perfect and \
-                (verdict.matrix.b, verdict.matrix.c) == (target.b, target.c)
-            found.append(S)
-            return max_results is not None and len(found) >= max_results
-        remaining = size - d - 1
-        for col in (1, 0):
-            if col == 1 and state["size"] >= s_target:
-                continue
-            if col == 0 and state["size"] + remaining < s_target:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                state["exhausted"] = False
-                return True
+    nodes = in_s = 0
+    stop = "complete"
+    d, col = 0, 1
+    while True:
+        if col == 1 and in_s >= s_target:
+            col = 0
+        if col == 0 and in_s + size - d - 1 < s_target:
+            col = -1
+        if col >= 0:
+            nodes += 1
+            if nodes > budget:
+                stop = "budget"
+                break
             color[d] = col
-            state["size"] += col
-            for u in nbr[d]:
-                decided[u] += 1
-                cnt_in[u] += col
-            ok = feasible(d) and all(feasible(u) for u in nbr[d])
-            if ok and dfs(d + 1):
-                return True
-            color[d] = -1
-            state["size"] -= col
-            for u in nbr[d]:
-                decided[u] -= 1
-                cnt_in[u] -= col
-        return False
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, size + 100))
-    try:
-        stopped = dfs(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if stopped and max_results is not None and len(found) >= max_results:
-        state["exhausted"] = False
+            in_s += col
+            cs = cnt_in[d]
+            ok = cs <= need[col] <= cs + n - decided[d]
+            for bit in bits:
+                u = d ^ bit
+                cs = cnt_in[u] = cnt_in[u] + col
+                dec = decided[u] = decided[u] + 1
+                if ok:
+                    if u < d:
+                        ok = cs <= need[color[u]] <= cs + n - dec
+                    else:
+                        ok = cs <= hi_need and cs + n - dec >= lo_need
+            if ok:
+                if d + 1 < size:
+                    d += 1
+                    col = 1
+                    continue
+                packed = np.packbits(np.frombuffer(color, dtype=np.uint8),
+                                     bitorder="little")
+                S = VertexSet(n, int.from_bytes(packed.tobytes(), "little"))
+                verdict = check_perfect(S)
+                assert verdict.is_perfect and \
+                    (verdict.matrix.b, verdict.matrix.c) == (target.b, target.c)
+                found.append(S)
+                if max_results is not None and len(found) >= max_results:
+                    stop = "max_results"
+                    break
+        elif d == 0:
+            break
+        else:
+            d -= 1
+        # retract the color of d and go on to the next one
+        col = color[d]
+        in_s -= col
+        for bit in bits:
+            u = d ^ bit
+            cnt_in[u] -= col
+            decided[u] -= 1
+        col -= 1
     sets = _dedupe_canonical(found) if canonical else found
-    return SearchResult(n, target, tuple(sets),
-                        exhaustive=state["exhausted"], nodes=state["nodes"])
+    return SearchResult(n, target, tuple(sets), stop_reason=stop, nodes=nodes)

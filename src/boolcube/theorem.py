@@ -19,7 +19,8 @@ import numpy as np
 from .cube_core import VertexSet, complement, stats
 from .spectral import cor_order, transform, weight_table
 from .macwilliams import DualDistribution, macwilliams_from_spectrum
-from .coloring import ParameterMatrix, check_perfect, is_perfect_code
+from .coloring import (ParameterMatrix, _all_subsets, check_perfect,
+                       is_perfect_code)
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,7 @@ def sweep(n: int) -> SweepSummary:
     nmasks = 1 << size
     masks = np.arange(nmasks, dtype=np.int64)
     vid = np.arange(size, dtype=np.int64)
-    # membership matrix: A[m, u] = (m >> u) & 1
-    A = ((masks[:, None] >> vid[None, :]) & 1).astype(np.int64)
-    s = A.sum(axis=1)
+    A, s, C, perfect, _, _ = _all_subsets(n)
 
     # spectral route: spectra = A @ W, W[u, v] = (-1)^popcount(u & v)
     W = 1 - 2 * (weight_table(n)[vid[:, None] & vid[None, :]] & 1)
@@ -155,16 +154,9 @@ def sweep(n: int) -> SweepSummary:
     nzw = np.where((spectra != 0) & (wt[None, :] > 0), wt[None, :], n + 2)
     cor = nzw.min(axis=1) - 1  # meaningful for non-constant masks only
 
-    # direct route: per-vertex in-S neighbor counts
-    adj = (weight_table(n)[vid[:, None] ^ vid[None, :]] == 1).astype(np.int64)
-    C = A @ adj
+    # direct route: the per-vertex in-S neighbor counts of the engine
     n1 = (A * C).sum(axis=1)
-    in_min = np.where(A == 1, C, size + 1).min(axis=1)
-    in_max = np.where(A == 1, C, -1).max(axis=1)
-    out_min = np.where(A == 0, C, size + 1).min(axis=1)
-    out_max = np.where(A == 0, C, -1).max(axis=1)
     nonconst = (s > 0) & (s < size)
-    perfect = nonconst & (in_min == in_max) & (out_min == out_max)
 
     # complement when rho > 1/2 (cor is complement-invariant; perfect too)
     eff = np.where(2 * s > size, masks ^ (nmasks - 1), masks)

@@ -221,6 +221,16 @@ def test_search_negative_budget_exit2(capsys):
     assert "--budget" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
+@pytest.mark.parametrize("max_results", ["0", "-3"])
+def test_search_non_positive_max_results_exit2(capsys, max_results, extra):
+    code, out, err = run_cli(capsys, ["search", "--n", "3", "--b", "2",
+                                      "--c", "2", "--max-results",
+                                      max_results] + extra)
+    assert code == 2 and out == ""
+    assert "--max-results" in err
+
+
 @pytest.mark.parametrize("b,c", [(0, 2), (2, 0), (0, 0)])
 def test_search_zero_b_or_c_exit4(capsys, b, c):
     code, out, err = run_cli(capsys, ["search", "--n", "3", "--b", str(b),

@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -8,9 +11,43 @@ from boolcube import (Construction, ParameterMatrix, VertexSet,
                       enumerate_perfect, half_cube, hamming_code, make_set,
                       verify)
 from boolcube.cube_core import index_to_vertex
-from boolcube.search import canonical_mask
+from boolcube.search import _check_feasible, canonical_mask
 
 from conftest import HAMMING7_WORDS
+
+
+def _loop_mask(n, member):
+    """Reference construction: one membership test per vertex index."""
+    mask = 0
+    for idx in range(1 << n):
+        if member(idx):
+            mask |= 1 << idx
+    return mask
+
+
+def _syndrome(idx, n):
+    syn = 0
+    for p in range(n):
+        if idx >> p & 1:
+            syn ^= n - p  # bit p from the LSB is coordinate n - p
+    return syn
+
+
+def test_constructions_match_loop_reference():
+    for n in range(1, 7):
+        for vi in range(1, 1 << n):
+            v = index_to_vertex(vi, n)
+            for eps in (0, 1):
+                assert affine_coloring(n, v, eps).mask == _loop_mask(
+                    n, lambda i: (i & vi).bit_count() % 2 == eps)
+        for coord in range(1, n + 1):
+            bit = 1 << (n - coord)
+            assert half_cube(n, coord).mask == _loop_mask(
+                n, lambda i: not i & bit)
+    for m in (2, 3, 4):
+        n = (1 << m) - 1
+        assert hamming_code(m).mask == _loop_mask(
+            n, lambda i: _syndrome(i, n) == 0)
 
 
 def test_hamming_construction():
@@ -161,6 +198,113 @@ def test_backtrack_matches_enumerate_n_le_3():
 def test_backtrack_budget_partial():
     r = backtrack_search(4, ParameterMatrix(4, 2, 2), budget=5)
     assert not r.exhaustive
+
+
+def test_backtrack_matches_enumerate_n4():
+    n = 4
+    for b in range(1, n + 1):
+        for c in range(1, n + 1):
+            target = ParameterMatrix(n, b, c)
+            try:
+                _check_feasible(n, target)
+            except ValueError:
+                continue
+            bt = backtrack_search(n, target)
+            en = enumerate_perfect(n, target)
+            assert bt.exhaustive
+            assert sorted(S.mask for S in bt.found) == \
+                [S.mask for S in en.found]
+
+
+def _masks_digest(sets):
+    return hashlib.sha256(",".join("%x" % S.mask for S in sets)
+                          .encode()).hexdigest()
+
+
+# (n, b, c, budget, max_results) -> nodes, found, exhaustive and the SHA-256
+# of the found masks in hex, comma-joined in found order; recorded from the
+# recursive search with a per-vertex neighbor table that the flat loop
+# replaced, which must keep its traversal node for node.
+GOLDEN_TRAVERSALS = [
+    ((4, 2, 2, 10 ** 7, None), 768, 36, True,
+     "ac60812451283203481cf8de509db72f1710ad99ece91de0ec3935896e41603a"),
+    ((7, 1, 1, 10 ** 7, None), 3052, 14, True,
+     "823c9c7596efa1179be8ae82ec2d77887ed7858b61b1313475e5e853c2246cd2"),
+    ((6, 6, 2, 10 ** 7, None), 16895, 60, True,
+     "68823c77f77a228a4bfd3d9040e120f9a9473485693c89055d6a8272e594c344"),
+    ((8, 2, 6, 1024, 1), 1025, 0, False,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((12, 4, 4, 16384, 1), 6144, 1, False,
+     "b96586573e284585d8bae4b68e6272237d31b2dea7b770c5f663a33d1a575591"),
+]
+
+
+@pytest.mark.parametrize("args,nodes,found,exhaustive,digest",
+                         GOLDEN_TRAVERSALS)
+def test_backtrack_golden_traversal(args, nodes, found, exhaustive, digest):
+    n, b, c, budget, max_results = args
+    r = backtrack_search(n, ParameterMatrix(n, b, c), budget=budget,
+                         max_results=max_results)
+    assert (r.nodes, len(r.found), r.exhaustive) == (nodes, found, exhaustive)
+    assert _masks_digest(r.found) == digest
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_backtrack_needs_no_recursion():
+    limit = _stack_depth() + 50
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        r = backtrack_search(14, ParameterMatrix(14, 7, 7), max_results=1)
+        after = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(old)
+    assert after == limit
+    assert len(r.found) == 1 and r.stop_reason == "max_results"
+
+
+def test_backtrack_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        r = backtrack_search(12, ParameterMatrix(12, 4, 4), budget=16384,
+                             max_results=1)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(r.found) == 1
+    assert unreachable == 0
+
+
+@pytest.mark.parametrize("max_results", [0, -3])
+def test_backtrack_rejects_non_positive_max_results(max_results):
+    with pytest.raises(ValueError, match="max_results"):
+        backtrack_search(3, ParameterMatrix(3, 2, 2), max_results=max_results)
+
+
+@pytest.mark.parametrize("kwargs,reason", [
+    ({}, "complete"),
+    ({"budget": 5}, "budget"),
+    ({"budget": 0}, "budget"),
+    ({"max_results": 1}, "max_results"),
+    # stops at the last coloring, before the rest of the tree is searched
+    ({"max_results": 36}, "max_results"),
+])
+def test_backtrack_stop_reason(kwargs, reason):
+    r = backtrack_search(4, ParameterMatrix(4, 2, 2), **kwargs)
+    assert r.stop_reason == reason
+    assert r.exhaustive == (reason == "complete")
+
+
+def test_enumerate_stop_reason_complete():
+    r = enumerate_perfect(3, ParameterMatrix(3, 2, 2))
+    assert r.stop_reason == "complete" and r.exhaustive
 
 
 def test_canonical_dedupe():
