@@ -1,8 +1,10 @@
 """Batch front-end: parse set documents, run the analyses, emit reports.
 
-Exit codes: 0 ok, 2 parse/parameter error (including a dimension above
-the spectrum cap), 3 constant set or rejected dense set (--no-complement),
-4 infeasible search parameters, 5 sweep violation.
+Exit codes: 0 ok, 2 parse/parameter error (including a dimension out of
+range: above the spectrum cap for analyze, outside [1, 24] for search,
+[1, 4] for search --exhaustive, [2, 4] for sweep), 3 constant set or
+rejected dense set (--no-complement), 4 infeasible search parameters,
+5 sweep violation.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from .cube_core import SPECTRUM_N_MAX, VertexSet, _check_dimension, make_set
 from .macwilliams import inverse_macwilliams, krawtchouk
 from .coloring import ParameterMatrix
 from .theorem import sweep, verify
-from .search import (Construction, backtrack_search, construct,
-                     enumerate_perfect)
+from .search import (Construction, _check_enumerable, backtrack_search,
+                     construct, enumerate_perfect)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -161,12 +163,26 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
+def _check_search_args(args) -> None:
+    """Parameter errors (exit 2), checked before (b, c) feasibility (exit 4)."""
+    if args.exhaustive:
+        _check_enumerable(args.n)
+    else:
+        _check_dimension(args.n)
     if args.budget < 0:
-        print("parameter error: --budget must be >= 0", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("--budget must be >= 0")
     if args.max_results is not None and args.max_results < 1:
-        print("parameter error: --max-results must be >= 1", file=sys.stderr)
+        raise ValueError("--max-results must be >= 1")
+    if args.max_results is not None and args.exhaustive:
+        raise ValueError("--max-results applies to backtracking only; "
+                         "--exhaustive lists every coloring")
+
+
+def cmd_search(args) -> int:
+    try:
+        _check_search_args(args)
+    except ValueError as exc:
+        print("parameter error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     target = ParameterMatrix(args.n, args.b, args.c)
     try:
@@ -253,8 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--b", type=int, required=True)
     ps.add_argument("--c", type=int, required=True)
-    ps.add_argument("--budget", type=int, default=10 ** 7)
-    ps.add_argument("--max-results", type=int, default=None)
+    ps.add_argument("--budget", type=int, default=10 ** 7,
+                    help="node budget of the backtracking search; "
+                         "--exhaustive ignores it")
+    ps.add_argument("--max-results", type=int, default=None,
+                    help="stop the backtracking search after this many "
+                         "colorings (not with --exhaustive)")
     ps.add_argument("--exhaustive", action="store_true",
                     help="brute force all subsets (n <= 4)")
     ps.add_argument("--canonical", action="store_true",

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import VertexSet, index_to_vertex
-from .spectral import _membership_array, transform, weight_table
+from .spectral import (_membership_array, _pair_levels, transform,
+                       weight_table)
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,16 @@ class ColoringVerdict:
     witness: Optional[tuple]  # (vertex string, observed in-S neighbor count)
 
 
+def _add_partner(c: np.ndarray, a: np.ndarray) -> None:
+    c += a[:, ::-1]
+
+
 def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """(membership array, per-vertex count of in-S neighbors) over E^n, in
-    uint8; the flipped axis of the (-1, 2, 2^k) view pairs u with u ^ 2^k."""
+    uint8; each bit k adds the membership of u ^ 2^k to the count of u."""
     arr = _membership_array(S)
     cnt = np.zeros_like(arr)
-    for k in range(S.n):
-        view = cnt.reshape(-1, 2, 1 << k)
-        view += arr.reshape(-1, 2, 1 << k)[:, ::-1]
+    _pair_levels(_add_partner, cnt, arr)
     return arr, cnt
 
 
@@ -62,9 +65,11 @@ def check_perfect(S: VertexSet) -> ColoringVerdict:
     arr, cnt = _neighbor_counts(S)
     ref_in = cnt[np.argmax(arr)]
     ref_out = cnt[np.argmin(arr)]
-    bad = (cnt != np.where(arr == 1, ref_in, ref_out))
-    if bad.any():
-        w = int(np.flatnonzero(bad)[0])
+    t = arr * (ref_in ^ ref_out)  # the reference of each vertex's color
+    t ^= ref_out
+    t ^= cnt  # nonzero exactly at the vertices that break regularity
+    if t.any():
+        w = int(np.argmax(t != 0))
         return ColoringVerdict(False, None,
                                (index_to_vertex(w, S.n), int(cnt[w])))
     matrix = ParameterMatrix(S.n, b=S.n - int(ref_in), c=int(ref_out))

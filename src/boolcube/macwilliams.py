@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .cube_core import VertexSet
-from .spectral import Spectrum, transform, weight_table
+from .spectral import Spectrum, _weight_classes, transform
 
 PAIRWISE_LIMIT = 1 << 12  # |S| above this uses the spectral route
 
@@ -100,10 +100,12 @@ def macwilliams_from_spectrum(sp: Spectrum, size: int) -> DualDistribution:
     """D_k = sum over weight-k vectors of a_hat(v)^2."""
     if size == 0:
         raise ValueError("dual distribution undefined for |S| = 0")
-    wt = weight_table(sp.n)
-    sq = sp.coeffs ** 2
-    duals = tuple(int(sq[wt == k].sum()) for k in range(sp.n + 1))
-    return DualDistribution(sp.n, size, duals)
+    idx, bounds = _weight_classes(sp.n)
+    duals = []
+    for k in range(sp.n + 1):
+        g = sp.coeffs[idx[bounds[k]:bounds[k + 1]]].astype(np.int64)
+        duals.append(int(np.dot(g, g)))
+    return DualDistribution(sp.n, size, tuple(duals))
 
 
 def macwilliams_from_distances(d: DistanceDistribution,

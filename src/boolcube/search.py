@@ -125,13 +125,17 @@ def _dedupe_canonical(sets: list[VertexSet]) -> list[VertexSet]:
     return [seen[k] for k in sorted(seen)]
 
 
+def _check_enumerable(n: int) -> None:
+    if not 1 <= n <= ENUMERATE_N_MAX:
+        raise ValueError("exhaustive enumeration supports n <= %d"
+                         % ENUMERATE_N_MAX)
+
+
 def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
                       canonical: bool = False) -> SearchResult:
     """Brute force over all 2^(2^n) subsets with the exhaustive engine that
     `sweep` also runs; every hit certified by the direct per-vertex scan."""
-    if not 1 <= n <= ENUMERATE_N_MAX:
-        raise ValueError("exhaustive enumeration supports n <= %d"
-                         % ENUMERATE_N_MAX)
+    _check_enumerable(n)
     _, _, _, perfect, bs, cs = _all_subsets(n)
     found = []
     for mask in np.flatnonzero(perfect).tolist():

@@ -16,8 +16,9 @@ from .cube_core import SPECTRUM_N_MAX, VertexSet
 class Spectrum:
     """Walsh coefficients of an indicator function, coeffs[idx(v)] = a_hat(v).
 
-    All coefficients are exact int64 values; |a_hat| <= 2^n <= 2^20 so 64-bit
-    accumulation cannot overflow.
+    `transform` gives exact int32 values: |a_hat| <= 2^n, which fits for
+    n <= 30.  A square does not fit (a_hat(0)^2 = |S|^2), so callers widen
+    to int64 before squaring, as `macwilliams_from_spectrum` does.
     """
     n: int
     coeffs: np.ndarray
@@ -37,6 +38,21 @@ def weight_table(n: int) -> np.ndarray:
     return wt
 
 
+@lru_cache(maxsize=None)
+def _weight_classes(n: int) -> tuple[np.ndarray, tuple]:
+    """Every index 0 .. 2^n-1 grouped by weight, as one int32 array, and the
+    class boundaries: the weight-k indices are idx[bounds[k]:bounds[k + 1]]."""
+    wt = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    idx = np.empty(1 << n, dtype=np.int32)
+    bounds = [0]
+    for k in range(n + 1):
+        cls = np.flatnonzero(wt == k)
+        idx[bounds[-1]:bounds[-1] + cls.size] = cls
+        bounds.append(bounds[-1] + cls.size)
+    idx.setflags(write=False)
+    return idx, tuple(bounds)
+
+
 def _membership_array(S: VertexSet) -> np.ndarray:
     size = 1 << S.n
     raw = S.mask.to_bytes((size + 7) // 8, "little")
@@ -44,16 +60,46 @@ def _membership_array(S: VertexSet) -> np.ndarray:
                          bitorder="little", count=size)
 
 
+LOW_BITS = 6     # bits k < 6 pair runs of only 2^k entries
+BLOCK_BITS = 16  # a 2^16-entry block (256 KB of int32) fits in cache
+
+
+def _pair_levels(op, *arrays) -> None:
+    """Call op on the (-1, 2, m) views pairing u with u ^ 2^k, for every bit
+    k of the index of the equal-length 1-D arrays (length 2^n); op works in
+    place on the first view and only reads the others.
+
+    Bits below BLOCK_BITS run one cache-sized block at a time, and among
+    them bits below LOW_BITS run on a transposed copy of the block, where
+    bit k pairs runs of 2^k * rows entries instead of 2^k."""
+    size = arrays[0].shape[0]
+    n = size.bit_length() - 1
+    blk_bits = min(n, BLOCK_BITS)
+    low = min(n, LOW_BITS)
+    rows = 1 << (blk_bits - low)
+    for lo in range(0, size, 1 << blk_bits):
+        blocks = [x[lo:lo + (1 << blk_bits)] for x in arrays]
+        ts = [b.reshape(rows, 1 << low).T.copy() for b in blocks]
+        for k in range(low):
+            op(*(t.reshape(-1, 2, rows << k) for t in ts))
+        blocks[0].reshape(rows, 1 << low)[...] = ts[0].T
+        for k in range(low, blk_bits):
+            op(*(b.reshape(-1, 2, 1 << k) for b in blocks))
+    for k in range(blk_bits, n):
+        op(*(x.reshape(-1, 2, 1 << k) for x in arrays))
+
+
+def _butterfly(v: np.ndarray) -> None:
+    """(x, y) -> (x + y, x - y) on the pairs of a (-1, 2, m) view."""
+    x, y = v[:, 0], v[:, 1]
+    x += y
+    y *= -2
+    y += x
+
+
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Butterfly on (-1, 2, step) views of `a`: (x, y) -> (x + y, x - y)."""
-    step = 1
-    while step < a.shape[0]:
-        b = a.reshape(-1, 2, step)
-        x, y = b[:, 0], b[:, 1]
-        x += y
-        y *= -2
-        y += x
-        step *= 2
+    """Unnormalised Walsh-Hadamard transform of `a` (length 2^n), in place."""
+    _pair_levels(_butterfly, a)
     return a
 
 
@@ -62,7 +108,7 @@ def transform(S: VertexSet) -> Spectrum:
     if S.n > SPECTRUM_N_MAX:
         raise ValueError("dimension %d exceeds spectrum cap %d"
                          % (S.n, SPECTRUM_N_MAX))
-    a = _membership_array(S).astype(np.int64)
+    a = _membership_array(S).astype(np.int32)
     return Spectrum(S.n, _fwht_inplace(a))
 
 
@@ -75,10 +121,8 @@ def inverse_transform(sp: Spectrum):
     size = 1 << sp.n
     vals = _fwht_inplace(sp.coeffs.astype(np.int64))  # 2^n * a(u)
     if np.all((vals == 0) | (vals == size)):
-        mask = 0
-        for i in np.flatnonzero(vals == size):
-            mask |= 1 << int(i)
-        return VertexSet(sp.n, mask)
+        bits = np.packbits(vals == size, bitorder="little")
+        return VertexSet(sp.n, int.from_bytes(bits, "little"))
     return [Fraction(int(v), size) for v in vals]
 
 

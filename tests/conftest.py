@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from boolcube import VertexSet, make_set
@@ -55,3 +56,10 @@ def pairwise_distance_counts(S: VertexSet) -> list:
         for v in members:
             counts[(u ^ v).bit_count()] += 1
     return counts
+
+
+def membership(S: VertexSet) -> np.ndarray:
+    """0/1 table of S by vertex index, from the little-endian bytes of the mask."""
+    raw = S.mask.to_bytes(((1 << S.n) + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little", count=1 << S.n)

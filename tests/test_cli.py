@@ -1,6 +1,6 @@
 import json
-import random
 
+import numpy as np
 import pytest
 
 from boolcube import VertexSet, spectral
@@ -143,6 +143,25 @@ def test_search_infeasible_exit4(capsys):
                             "--c", "2"])[0] == 4
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "25"], "dimension 25 out of range"),
+    (["--n", "0"], "dimension 0 out of range"),
+    (["--exhaustive", "--n", "5"], "exhaustive enumeration supports n <= 4"),
+])
+def test_search_dimension_out_of_range_exit2(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["search", "--b", "2", "--c", "2"] + argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_search_exhaustive_rejects_max_results_exit2(capsys):
+    code, out, err = run_cli(capsys, ["search", "--exhaustive", "--n", "3",
+                                      "--b", "2", "--c", "2",
+                                      "--max-results", "1"])
+    assert code == 2 and out == ""
+    assert "--max-results applies to backtracking only" in err
+
+
 def test_sweep(capsys):
     for n in ("2", "3", "4"):
         code, out, _ = run_cli(capsys, ["sweep", "--n", n])
@@ -245,14 +264,30 @@ def test_search_zero_b_or_c_exit4(capsys, b, c):
     (12000, True),                    # density > 1/2: complemented
 ])
 def test_build_report_runs_one_fwht(monkeypatch, size, complemented):
-    n = 14
-    members = random.Random(size).sample(range(1 << n), size)
-    S = VertexSet(n, sum(1 << i for i in members))
+    _assert_one_fwht(monkeypatch, 14, size, complemented)
+
+
+@pytest.mark.parametrize("size,complemented", [
+    ((1 << 17) - 1000, False),        # dense, blocked transform
+    ((1 << 17) + 5000, True),         # density > 1/2: complemented
+])
+def test_build_report_runs_one_fwht_n18(monkeypatch, size, complemented):
+    _assert_one_fwht(monkeypatch, 18, size, complemented)
+
+
+def _assert_one_fwht(monkeypatch, n, size, complemented):
+    a = np.zeros(1 << n, dtype=np.uint8)
+    a[np.random.default_rng(size).permutation(1 << n)[:size]] = 1
+    S = VertexSet(n, int.from_bytes(np.packbits(a, bitorder="little"),
+                                    "little"))
     calls = []
     fwht = spectral._fwht_inplace
     monkeypatch.setattr(spectral, "_fwht_inplace",
                         lambda a: calls.append(1) or fwht(a))
+    spectral.weight_table.cache_clear()
     rep = build_report(S)
     assert len(calls) == 1
+    # the int64 weight table (8 MB at n = 20) stays out of the report path
+    assert spectral.weight_table.cache_info().currsize == 0
     assert rep["complemented"] is complemented
     assert rep["size"] == min(size, (1 << n) - size)

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from boolcube import (ParameterMatrix, VertexSet, check_perfect, complement,
-                      cor_from_matrix, cor_order, full_set, is_perfect_code,
-                      make_set, spectral_support, stats)
+from boolcube import (ParameterMatrix, VertexSet, affine_coloring,
+                      check_perfect, complement, cor_from_matrix, cor_order,
+                      full_set, is_perfect_code, make_set, spectral_support,
+                      stats)
+from boolcube.coloring import _neighbor_counts
 from boolcube.cube_core import index_to_vertex
 
-from conftest import random_set
+from conftest import membership, random_set
 
 
 def test_check_perfect_parity(parity12_e3):
@@ -32,6 +35,34 @@ def test_check_perfect_witness():
     # smallest-index vertex disagreeing with its color's reference count:
     # 001 sees one S-neighbor, 011 sees none
     assert v.witness == ("011", 0)
+
+
+def _naive_counts(S: VertexSet) -> tuple:
+    """Membership and in-S neighbor counts from u ^ 2^k, one bit at a time."""
+    u = np.arange(1 << S.n)
+    arr = membership(S).astype(np.int64)
+    return arr, sum(arr[u ^ (1 << k)] for k in range(S.n))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_neighbor_counts_match_naive(n):
+    S = random_set(random.Random(n), n)
+    arr, cnt = _neighbor_counts(S)
+    naive_arr, naive_cnt = _naive_counts(S)
+    assert arr.dtype == cnt.dtype == np.uint8
+    assert np.array_equal(arr, naive_arr) and np.array_equal(cnt, naive_cnt)
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_check_perfect_witness_large(n):
+    rng = random.Random(n)
+    v = format(rng.randrange(1, 1 << n), "0%db" % n)
+    flipped = affine_coloring(n, v).mask ^ (1 << rng.randrange(1 << n))
+    for S in (VertexSet(n, flipped), random_set(rng, n)):
+        arr, cnt = _naive_counts(S)
+        ref = np.where(arr == 1, cnt[np.argmax(arr)], cnt[np.argmin(arr)])
+        w = int(np.flatnonzero(cnt != ref)[0])
+        assert check_perfect(S).witness == (index_to_vertex(w, n), int(cnt[w]))
 
 
 def test_check_perfect_rejects_constant():

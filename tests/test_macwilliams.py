@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from boolcube import (VertexSet, cor_order, distance_distribution, full_set,
@@ -93,6 +94,20 @@ def test_dual_from_spectrum_examples():
     dual = macwilliams_from_spectrum(transform(single), 1)
     assert dual.duals == (1, 3, 3, 1)
     assert sum(dual.Bprime) == 8
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_dual_from_spectrum_matches_per_weight_masks(n):
+    rng = random.Random(n)
+    for S in (random_set(rng, n), VertexSet(n, rng.getrandbits(1 << (n - 4)))):
+        if S.size == 0:
+            continue
+        sp = transform(S)
+        u = np.arange(1 << n)
+        wt = sum((u >> k) & 1 for k in range(n))
+        sq = sp.coeffs.astype(np.int64) ** 2
+        expected = tuple(int(sq[wt == k].sum()) for k in range(n + 1))
+        assert macwilliams_from_spectrum(sp, S.size).duals == expected
 
 
 def test_dual_diagonal_pair():

@@ -8,7 +8,7 @@ from boolcube import (VertexSet, cor_order, cor_order_direct, full_set,
                       inverse_transform, make_set, transform)
 from boolcube.cube_core import index_to_vertex, vertex_index
 
-from conftest import naive_transform, random_set
+from conftest import membership, naive_transform, random_set
 
 
 def test_transform_n1():
@@ -47,6 +47,32 @@ def test_butterfly_matches_naive():
             assert list(transform(S).coeffs) == naive_transform(S)
 
 
+def _fwht_int64_oracle(a: np.ndarray) -> np.ndarray:
+    """The plain int64 butterfly on (-1, 2, step) views, one level at a time."""
+    a = a.astype(np.int64)
+    step = 1
+    while step < a.shape[0]:
+        b = a.reshape(-1, 2, step)
+        x, y = b[:, 0].copy(), b[:, 1].copy()
+        b[:, 0], b[:, 1] = x + y, x - y
+        step *= 2
+    return a
+
+
+def test_transform_is_int32():
+    S = random_set(random.Random(2), 10)
+    assert transform(S).coeffs.dtype == np.int32
+
+
+@pytest.mark.parametrize("n", range(15, 21))
+def test_blocked_transform_matches_int64_butterfly(n):
+    rng = random.Random(n)
+    for S in (random_set(rng, n), VertexSet(n, 1 << rng.randrange(1 << n)),
+              VertexSet(n, (1 << (1 << n)) - 1)):
+        assert np.array_equal(transform(S).coeffs,
+                              _fwht_int64_oracle(membership(S)))
+
+
 def test_parseval():
     rng = random.Random(17)
     for n in range(1, 4):
@@ -69,6 +95,8 @@ def test_round_trip():
     for _ in range(30):
         S = random_set(rng, rng.randint(1, 12), nonconstant=False)
         assert inverse_transform(transform(S)) == S
+    S = random_set(rng, 18)
+    assert inverse_transform(transform(S)) == S
 
 
 def test_inverse_special_spectra():
