@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .cube_core import SPECTRUM_N_MAX, VertexSet, _check_dimension, make_set
@@ -251,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--no-complement", dest="allow_complement",
                     action="store_false",
                     help="reject sets with density above 1/2")
-    pa.set_defaults(func=cmd_analyze)
 
     pc = sub.add_parser("construct", help="emit a known perfect coloring")
     pc.add_argument("kind", choices=["hamming", "affine", "half-cube"])
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="half-cube: pinned coordinate")
     pc.add_argument("--as-mask", action="store_true",
                     help="emit mask_hex instead of a vertex list")
-    pc.set_defaults(func=cmd_construct)
 
     ps = sub.add_parser("search", help="search for perfect colorings")
     ps.add_argument("--n", type=int, required=True)
@@ -280,17 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--canonical", action="store_true",
                     help="dedupe up to XOR-translation")
     ps.add_argument("--as-mask", action="store_true")
-    ps.set_defaults(func=cmd_search)
 
     pw = sub.add_parser("sweep", help="exhaustive theorem validation")
     pw.add_argument("--n", type=int, required=True)
-    pw.set_defaults(func=cmd_sweep)
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command.  The parser is built once per process, and the
+    command is looked up by name at call time, so a rebinding of
+    `cmd_<command>` in this module is the function that runs."""
+    args = _parser().parse_args(argv)
+    return globals()["cmd_" + args.command](args)
 
 
 if __name__ == "__main__":

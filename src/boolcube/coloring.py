@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import VertexSet, index_to_vertex
-from .spectral import (_membership_array, _pair_levels, transform,
-                       weight_table)
+from .cube_core import VertexSet, _membership_array, index_to_vertex
+from .spectral import _pair_levels, transform, weight_table
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,14 @@ def check_perfect(S: VertexSet) -> ColoringVerdict:
     size = S.size
     if size == 0 or size == (1 << S.n):
         raise ValueError("constant colorings have no parameter matrix")
+    return _scan(S)[1]
+
+
+def _scan(S: VertexSet) -> tuple[int, ColoringVerdict]:
+    """One neighbour scan of a non-constant S: N_1, the number of ordered
+    pairs of S-elements at distance 1, and the `check_perfect` verdict."""
     arr, cnt = _neighbor_counts(S)
+    n1 = int((cnt * arr).sum(dtype=np.int64))  # cnt <= n: exact in uint8
     ref_in = cnt[np.argmax(arr)]
     ref_out = cnt[np.argmin(arr)]
     t = arr * (ref_in ^ ref_out)  # the reference of each vertex's color
@@ -70,10 +76,10 @@ def check_perfect(S: VertexSet) -> ColoringVerdict:
     t ^= cnt  # nonzero exactly at the vertices that break regularity
     if t.any():
         w = int(np.argmax(t != 0))
-        return ColoringVerdict(False, None,
-                               (index_to_vertex(w, S.n), int(cnt[w])))
+        return n1, ColoringVerdict(False, None,
+                                   (index_to_vertex(w, S.n), int(cnt[w])))
     matrix = ParameterMatrix(S.n, b=S.n - int(ref_in), c=int(ref_out))
-    return ColoringVerdict(True, matrix, None)
+    return n1, ColoringVerdict(True, matrix, None)
 
 
 def _all_subsets(n: int) -> tuple[np.ndarray, ...]:

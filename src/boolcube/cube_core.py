@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 N_MAX = 24           # hard cap on cube dimension (bitset storage)
 SPECTRUM_N_MAX = 20  # cap for operations materializing a full 2^n spectrum
 
@@ -55,21 +57,29 @@ class VertexSet:
         return [index_to_vertex(i, self.n) for i in self.member_indices()]
 
     def member_indices(self) -> list[int]:
-        m, out = self.mask, []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        """Indices of the members, ascending."""
+        return np.flatnonzero(_membership_array(self)).tolist()
 
     def translate(self, t: str) -> "VertexSet":
         """XOR-translate every element by the vertex t."""
         _check_vertex(t, self.n)
-        ti = vertex_index(t)
-        mask = 0
-        for i in self.member_indices():
-            mask |= 1 << (i ^ ti)
-        return VertexSet(self.n, mask)
+        idx = np.arange(1 << self.n) ^ vertex_index(t)
+        return VertexSet(self.n, _pack(_membership_array(self)[idx]))
+
+
+def _membership_array(S: VertexSet) -> np.ndarray:
+    """uint8 0/1 table of S by vertex index (the mask unpacked)."""
+    size = 1 << S.n
+    raw = S.mask.to_bytes((size + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little", count=size)
+
+
+def _pack(member: np.ndarray) -> int:
+    """The mask with bit i set iff member[i] is nonzero: the inverse of
+    `_membership_array`."""
+    return int.from_bytes(np.packbits(member, bitorder="little").tobytes(),
+                          "little")
 
 
 @dataclass(frozen=True)
@@ -93,9 +103,30 @@ class CubeStats:
 
 
 def make_set(n: int, vertices) -> VertexSet:
+    """S from an iterable of vertex strings; duplicates collapse.
+
+    A valid list is read in one pass of numpy work: the strings are joined
+    with a ',' after each, and each row of n + 1 bytes must start with n
+    binary digits (its last byte is then one of the |S| commas).  Anything
+    else (a non-str element, a wrong length, a non-binary or non-ASCII
+    character) takes the per-vertex loop, which raises for the first bad
+    vertex.
+    """
     _check_dimension(n)
+    vs = vertices if isinstance(vertices, list) else list(vertices)
+    try:
+        raw = (",".join(vs) + ",").encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        raw = b""
+    if vs and len(raw) == len(vs) * (n + 1):
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n + 1)
+        digits = rows[:, :n] - 48
+        if (digits <= 1).all():
+            member = np.zeros(1 << n, dtype=np.uint8)
+            member[digits @ (1 << np.arange(n - 1, -1, -1))] = 1
+            return VertexSet(n, _pack(member))
     mask = 0
-    for v in vertices:
+    for v in vs:
         _check_vertex(v, n)
         mask |= 1 << vertex_index(v)
     return VertexSet(n, mask)
@@ -157,17 +188,24 @@ def distance_one_pairs(S: VertexSet) -> int:
     return 2 * pairs
 
 
-def stats(S: VertexSet) -> CubeStats:
-    size = S.size
-    if size == 0:
-        raise ValueError("stats undefined for the empty set")
-    neighbor_sum = size + distance_one_pairs(S)
+def _cube_stats(n: int, size: int, n1: int) -> CubeStats:
+    """The statistics of a nonempty S of this size with N_1 = n1."""
+    neighbor_sum = size + n1
     return CubeStats(
         size=size,
-        density=Fraction(size, 1 << S.n),
+        density=Fraction(size, 1 << n),
         neighbor_sum=neighbor_sum,
         nei=Fraction(neighbor_sum, size) - 1,
     )
+
+
+def stats(S: VertexSet) -> CubeStats:
+    """From big-int shifts of the mask; `theorem.verify` takes N_1 from its
+    neighbour scan instead, and this stays as the cross-check route."""
+    size = S.size
+    if size == 0:
+        raise ValueError("stats undefined for the empty set")
+    return _cube_stats(S.n, size, distance_one_pairs(S))
 
 
 def complement(S: VertexSet) -> VertexSet:

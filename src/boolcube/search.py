@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
-                        _low_bit_pattern, complement, vertex_index)
+                        _low_bit_pattern, _pack, complement, vertex_index)
 from .coloring import ParameterMatrix, _all_subsets, check_perfect
 
 ENUMERATE_N_MAX = 4
@@ -229,9 +229,7 @@ def backtrack_search(n: int, target: ParameterMatrix, budget: int = 10 ** 7,
                     d += 1
                     col = 1
                     continue
-                packed = np.packbits(np.frombuffer(color, dtype=np.uint8),
-                                     bitorder="little")
-                S = VertexSet(n, int.from_bytes(packed.tobytes(), "little"))
+                S = VertexSet(n, _pack(np.frombuffer(color, dtype=np.uint8)))
                 verdict = check_perfect(S)
                 assert verdict.is_perfect and \
                     (verdict.matrix.b, verdict.matrix.c) == (target.b, target.c)

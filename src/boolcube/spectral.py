@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube_core import SPECTRUM_N_MAX, VertexSet
+from .cube_core import SPECTRUM_N_MAX, VertexSet, _membership_array, _pack
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ def _weight_classes(n: int) -> tuple[np.ndarray, tuple]:
         bounds.append(bounds[-1] + cls.size)
     idx.setflags(write=False)
     return idx, tuple(bounds)
-
-
-def _membership_array(S: VertexSet) -> np.ndarray:
-    size = 1 << S.n
-    raw = S.mask.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little", count=size)
 
 
 LOW_BITS = 6     # bits k < 6 pair runs of only 2^k entries
@@ -121,8 +114,7 @@ def inverse_transform(sp: Spectrum):
     size = 1 << sp.n
     vals = _fwht_inplace(sp.coeffs.astype(np.int64))  # 2^n * a(u)
     if np.all((vals == 0) | (vals == size)):
-        bits = np.packbits(vals == size, bitorder="little")
-        return VertexSet(sp.n, int.from_bytes(bits, "little"))
+        return VertexSet(sp.n, _pack(vals == size))
     return [Fraction(int(v), size) for v in vals]
 
 

@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import VertexSet, complement, stats
+from .cube_core import VertexSet, _cube_stats, complement, stats
 from .spectral import cor_order, transform, weight_table
 from .macwilliams import DualDistribution, macwilliams_from_spectrum
-from .coloring import (ParameterMatrix, _all_subsets, check_perfect,
-                       is_perfect_code)
+from .coloring import ParameterMatrix, _all_subsets, _scan, is_perfect_code
 
 
 @dataclass(frozen=True)
@@ -55,15 +54,17 @@ def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, bool]:
 
 
 def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
-    """The whole analysis from one transform: cor is read off the support
-    of the dual distribution D (D_0 = |S|^2 > 0), the bounds off (n, rho, cor)."""
+    """The whole analysis from one transform and one neighbour scan: cor is
+    read off the support of the dual distribution D (D_0 = |S|^2 > 0), the
+    bounds off (n, rho, cor); N_1 and the perfect verdict come from the
+    per-vertex in-S neighbour counts."""
     T, swapped = _normalize(S, allow_complement)
-    st = stats(T)
+    n1, verdict = _scan(T)
+    st = _cube_stats(T.n, T.size, n1)
     dual = macwilliams_from_spectrum(transform(T), st.size)
     cor = dual.support[1] - 1
     lhs = st.nei + 2 * (cor + 1) * (1 - st.density)
     slack = T.n - lhs
-    verdict = check_perfect(T)
     return TheoremReport(
         n=T.n,
         size=st.size,

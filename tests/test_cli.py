@@ -1,9 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boolcube import VertexSet, spectral
+from boolcube import VertexSet, cli, spectral
 from boolcube.macwilliams import PAIRWISE_LIMIT
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
@@ -291,3 +296,56 @@ def _assert_one_fwht(monkeypatch, n, size, complemented):
     assert spectral.weight_table.cache_info().currsize == 0
     assert rep["complemented"] is complemented
     assert rep["size"] == min(size, (1 << n) - size)
+
+
+def _fresh_process(argv):
+    """(exit code, stdout) of the CLI in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    p = subprocess.run([sys.executable, "-m", "boolcube.cli"] + argv,
+                       capture_output=True, text=True, env=env)
+    return p.returncode, p.stdout
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_main_reuses_its_parser_across_mixed_calls(tmp_path, capsys):
+    doc = tmp_path / "h7.json"
+    doc.write_text(json.dumps({"n": 7, "vertices": HAMMING7_WORDS}))
+    calls = [
+        ["analyze", str(doc), "--json"],
+        ["construct", "affine", "--n", "4", "--v", "0110"],
+        ["search", "--n", "3", "--b", "2", "--c", "2", "--max-results", "1"],
+        ["analyze", "--bogus", str(doc)],            # parse error
+        ["sweep", "--n", "2"],
+        ["search", "--n", "3", "--b", "2"],          # missing --c
+        ["search", "--n", "4", "--b", "3", "--c", "3", "--exhaustive"],
+        ["search", "--n", "3", "--b", "0", "--c", "2"],  # infeasible
+        ["construct", "hamming", "--m", "3", "--as-mask"],
+        ["analyze", str(doc)],
+    ]
+
+    def norm(out):  # the sweep prints its own timing
+        return re.sub(r"in [0-9.]+s", "in Ts", out)
+
+    for argv in calls:
+        code, out = _in_process(capsys, argv)
+        fresh_code, fresh_out = _fresh_process(argv)
+        assert (code, norm(out)) == (fresh_code, norm(fresh_out)), argv
+    assert [_in_process(capsys, c)[0] for c in calls] == \
+        [0, 0, 0, 2, 0, 2, 0, 4, 0, 0]
+
+
+def test_main_calls_the_current_cmd_binding(tmp_path, capsys, monkeypatch):
+    assert main(["sweep", "--n", "2"]) == 0  # the parser is built by now
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze",
+                        lambda args: seen.append(args.input) or 7)
+    assert main(["analyze", "doc.json", "--json"]) == 7
+    assert seen == ["doc.json"]

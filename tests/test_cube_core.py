@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boolcube import (Face, VertexSet, ball, complement, face_vertices,
                       full_set, hamming_distance, make_set, stats)
@@ -33,6 +34,116 @@ def test_make_set_rejects_bad_input():
         make_set(3, ["0102"])
     with pytest.raises(ValueError):
         make_set(3, ["01"])
+
+
+def _make_set_loop(n, vertices) -> int:
+    """The per-vertex reading of a vertex list, kept as the oracle of
+    make_set: the mask, or the ValueError naming the first bad vertex."""
+    mask = 0
+    for v in vertices:
+        if not isinstance(v, str) or len(v) != n or any(ch not in "01" for ch in v):
+            raise ValueError("malformed vertex %r for dimension %d" % (v, n))
+        mask |= 1 << int(v, 2)
+    return mask
+
+
+@st.composite
+def vertex_lists(draw):
+    """Valid lists at n <= 12, duplicates included."""
+    n = draw(st.integers(1, 12))
+    idx = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=300))
+    return n, [index_to_vertex(i, n) for i in idx + idx[:len(idx) // 3]]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(vertex_lists())
+def test_make_set_matches_per_vertex_loop(case):
+    n, vs = case
+    assert make_set(n, vs) == VertexSet(n, _make_set_loop(n, vs))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 4),
+       st.lists(st.text(alphabet="012,x", min_size=0, max_size=6), max_size=6))
+@example(3, ["011", "01,"])
+@example(3, ["011,", "01"])
+@example(3, ["0,1", "011"])
+@example(3, ["01", "0111"])
+def test_make_set_matches_the_loop_on_near_miss_strings(n, vs):
+    # commas and wrong lengths that may still add up to |S| * (n + 1) bytes
+    try:
+        expected = VertexSet(n, _make_set_loop(n, vs))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            make_set(n, vs)
+        assert str(got.value) == str(exc)
+    else:
+        assert make_set(n, vs) == expected
+
+
+def test_make_set_accepts_any_iterable():
+    vs = ["0110", "1111", "0000", "0110"]
+    expected = VertexSet(4, _make_set_loop(4, vs))
+    assert make_set(4, (v for v in vs)) == expected
+    assert make_set(4, set(vs)) == expected
+    assert make_set(4, tuple(vs)) == expected
+    assert make_set(4, iter([])) == make_set(4, []) == VertexSet(4, 0)
+
+
+def test_make_set_n24_few_vertices():
+    vs = ["0" * 24, "1" * 24, "10" * 12, "000000000000000000000001"]
+    S = make_set(24, vs)
+    assert S == VertexSet(24, _make_set_loop(24, vs))
+    assert S.member_indices() == sorted(int(v, 2) for v in vs)
+
+
+@pytest.mark.parametrize("bad", [None, 5, b"01", "0102", "01", " 01", "0a1",
+                                 "021", "0\u06611"])
+def test_make_set_reject_message(bad):
+    # after a valid vertex and before another bad one: the first is named
+    with pytest.raises(ValueError) as exc:
+        make_set(3, ["011", bad, "2"])
+    assert str(exc.value) == "malformed vertex %r for dimension 3" % (bad,)
+
+
+def _member_indices_loop(S):
+    """The lowest-set-bit loop over the mask, kept as the oracle."""
+    m, out = S.mask, []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _translate_loop(S, t):
+    ti, mask = vertex_index(t), 0
+    for i in _member_indices_loop(S):
+        mask |= 1 << (i ^ ti)
+    return VertexSet(S.n, mask)
+
+
+def test_member_indices_and_translate_match_the_loops():
+    rng = random.Random(17)
+    for n in range(1, 13):
+        for _ in range(6):
+            S = random_set(rng, n, nonconstant=False)
+            idx = _member_indices_loop(S)
+            assert S.member_indices() == idx
+            assert S.members() == [index_to_vertex(i, n) for i in idx]
+            t = index_to_vertex(rng.getrandbits(n), n)
+            assert S.translate(t) == _translate_loop(S, t)
+
+
+def test_member_indices_and_translate_n18():
+    rng = random.Random(18)
+    mask = 0
+    for i in rng.sample(range(1 << 18), 3000):
+        mask |= 1 << i
+    S = VertexSet(18, mask)
+    assert S.member_indices() == _member_indices_loop(S)
+    t = index_to_vertex(rng.getrandbits(18), 18)
+    assert S.translate(t) == _translate_loop(S, t)
 
 
 def test_hamming_distance():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boolcube import (VertexSet, bf_bound, check_perfect, code_rigidity,
@@ -47,6 +48,25 @@ def test_verify_complements_dense_sets():
     assert r.slack == Fraction(5, 4)
     with pytest.raises(ValueError):
         verify(S, allow_complement=False)
+
+
+@pytest.mark.parametrize("n,size,complemented", [
+    (14, 6000, False),     # dense: above the pairwise limit
+    (12, 40, False),       # sparse
+    (14, 12000, True),     # density above 1/2
+    (20, 400000, False),   # dense, blocked scan
+    (20, 700000, True),
+])
+def test_verify_nei_matches_stats(n, size, complemented):
+    # verify takes N_1 from its neighbour scan, stats from big-int shifts
+    a = np.zeros(1 << n, dtype=np.uint8)
+    a[np.random.default_rng(size).permutation(1 << n)[:size]] = 1
+    S = VertexSet(n, int.from_bytes(np.packbits(a, bitorder="little"),
+                                    "little"))
+    r = verify(S)
+    T = complement(S) if complemented else S
+    assert r.complemented is complemented
+    assert r.nei == stats(T).nei and r.rho == stats(T).density
 
 
 def test_slack_is_exact():
