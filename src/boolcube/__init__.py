@@ -4,9 +4,9 @@ nei/cor/rho inequality with its equality criterion."""
 
 __version__ = "0.1.0"
 
-from .cube_core import (N_MAX, SPECTRUM_N_MAX, CubeStats, Face, VertexSet,
-                        ball, complement, face_vertices, full_set,
-                        hamming_distance, make_set, stats)
+from .cube_core import (N_MAX, CubeStats, Face, VertexSet, ball, complement,
+                        face_vertices, full_set, hamming_distance, make_set,
+                        stats)
 from .spectral import (Spectrum, cor_order, cor_order_direct,
                        inverse_transform, transform)
 from .macwilliams import (DistanceDistribution, DualDistribution,

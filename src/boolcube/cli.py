@@ -1,8 +1,8 @@
 """Batch front-end: parse set documents, run the analyses, emit reports.
 
 Exit codes: 0 ok, 2 parse/parameter error (including a dimension out of
-range: above the spectrum cap for analyze, outside [1, 24] for search,
-[1, 4] for search --exhaustive, [2, 4] for sweep), 3 constant set or
+range: outside [1, 24] for analyze and search, [1, 4] for
+search --exhaustive, [2, 4] for sweep), 3 constant set or
 rejected dense set (--no-complement), 4 infeasible search parameters,
 5 sweep violation.
 """
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .cube_core import SPECTRUM_N_MAX, VertexSet, _check_dimension, make_set
+from .cube_core import VertexSet, _check_dimension, make_set
 from .macwilliams import inverse_macwilliams, krawtchouk
 from .coloring import ParameterMatrix
 from .theorem import sweep, verify
@@ -136,9 +136,6 @@ def _load_input(path: str | None):
 def cmd_analyze(args) -> int:
     try:
         S = parse_document(_load_input(args.input))
-        if S.n > SPECTRUM_N_MAX:
-            raise ValueError("dimension %d exceeds spectrum cap %d"
-                             % (S.n, SPECTRUM_N_MAX))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -82,6 +82,9 @@ def _scan(S: VertexSet) -> tuple[int, ColoringVerdict]:
     return n1, ColoringVerdict(True, matrix, None)
 
 
+ENUMERATE_N_MAX = 4  # _all_subsets holds a 2^(2^n) x 2^n matrix
+
+
 def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
     """The exhaustive engine: every subset of E^n at once, row m being the
     set with mask m.  Returns the int64 membership matrix A[m, u] =

@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-N_MAX = 24           # hard cap on cube dimension (bitset storage)
-SPECTRUM_N_MAX = 20  # cap for operations materializing a full 2^n spectrum
+N_MAX = 24  # the one cap on cube dimension, for storage and analysis alike
 
 
 def vertex_index(v: str) -> int:
@@ -42,7 +41,7 @@ class VertexSet:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if not 0 <= self.mask < (1 << (1 << self.n)):
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.n:
             raise ValueError("mask does not fit dimension %d" % self.n)
 
     @property

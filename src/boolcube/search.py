@@ -9,9 +9,8 @@ import numpy as np
 
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
                         _low_bit_pattern, _pack, complement, vertex_index)
-from .coloring import ParameterMatrix, _all_subsets, check_perfect
-
-ENUMERATE_N_MAX = 4
+from .coloring import (ENUMERATE_N_MAX, ParameterMatrix, _all_subsets,
+                       check_perfect)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube_core import SPECTRUM_N_MAX, VertexSet, _membership_array, _pack
+from .cube_core import VertexSet, _membership_array, _pack
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,9 @@ class Spectrum:
 
 @lru_cache(maxsize=None)
 def weight_table(n: int) -> np.ndarray:
-    """popcount of every index 0 .. 2^n-1."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    wt = np.zeros(1 << n, dtype=np.int64)
-    for k in range(n):
-        wt += (idx >> k) & 1
+    """popcount of every index 0 .. 2^n-1, in int64 so that callers may
+    subtract from it."""
+    wt = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     wt.setflags(write=False)
     return wt
 
@@ -98,9 +96,6 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
 
 def transform(S: VertexSet) -> Spectrum:
     """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n))."""
-    if S.n > SPECTRUM_N_MAX:
-        raise ValueError("dimension %d exceeds spectrum cap %d"
-                         % (S.n, SPECTRUM_N_MAX))
     a = _membership_array(S).astype(np.int32)
     return Spectrum(S.n, _fwht_inplace(a))
 

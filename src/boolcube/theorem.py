@@ -16,10 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import VertexSet, _cube_stats, complement, stats
+from .cube_core import VertexSet, _cube_stats, complement
 from .spectral import cor_order, transform, weight_table
 from .macwilliams import DualDistribution, macwilliams_from_spectrum
-from .coloring import ParameterMatrix, _all_subsets, _scan, is_perfect_code
+from .coloring import (ENUMERATE_N_MAX, ParameterMatrix, _all_subsets, _scan,
+                       is_perfect_code)
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,12 @@ def _bf_ok(n: int, rho: Fraction, cor: int) -> bool:
 
 def fdf_bound(S: VertexSet) -> bool:
     """Fon-Der-Flaass: cor <= 2n/3 - 1 unless S is balanced."""
-    return _fdf_ok(S.n, stats(S).density, cor_order(S))
+    return _fdf_ok(S.n, Fraction(S.size, 1 << S.n), cor_order(S))
 
 
 def bf_bound(S: VertexSet) -> bool:
     """Bierbrauer-Friedman: rho >= 1 - n / (2(cor+1))."""
-    return _bf_ok(S.n, stats(S).density, cor_order(S))
+    return _bf_ok(S.n, Fraction(S.size, 1 << S.n), cor_order(S))
 
 
 def code_rigidity(S: VertexSet, reference_n: int) -> bool:
@@ -140,8 +141,9 @@ def sweep(n: int) -> SweepSummary:
     The two routes are independent: cor comes from the Walsh spectra, the
     perfect verdict from direct neighbor counting.
     """
-    if not 2 <= n <= 4:
-        raise ValueError("exhaustive sweep supports 2 <= n <= 4")
+    if not 2 <= n <= ENUMERATE_N_MAX:
+        raise ValueError("exhaustive sweep supports 2 <= n <= %d"
+                         % ENUMERATE_N_MAX)
     size = 1 << n
     nmasks = 1 << size
     masks = np.arange(nmasks, dtype=np.int64)

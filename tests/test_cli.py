@@ -204,16 +204,43 @@ def test_report_determinism(hamming7):
     assert a == b
 
 
-@pytest.mark.parametrize("doc", [
-    {"n": 21, "vertices": ["0" * 21]},
-    {"n": 24, "mask_hex": "01" + "0" * ((1 << 24) // 4 - 2)},
-])
-def test_analyze_above_spectrum_cap_exit2(tmp_path, capsys, doc):
+DOC24 = {"n": 24, "mask_hex": "01" + "0" * ((1 << 24) // 4 - 2)}
+
+
+@pytest.mark.parametrize("doc,slack", [
+    ({"n": 21, "vertices": ["0" * 21]}, "19922945/1048576"),
+    (DOC24, "184549377/8388608"),
+], ids=["n21", "n24"])
+def test_analyze_one_vertex_above_n20(tmp_path, capsys, doc, slack):
+    # slack of a single vertex: n - 2 + 2^(1-n)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, ["analyze", str(path)])
-    assert code == 2 and out == ""
-    assert "exceeds spectrum cap 20" in err
+    code, out, err = run_cli(capsys, ["analyze", str(path), "--json"])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["slack"] == slack and rep["size"] == 1 and rep["cor"] == 0
+    assert rep["distance_counts"] == [1] + [0] * doc["n"]
+
+
+def test_analyze_n24_peak_rss_in_a_fresh_process(tmp_path):
+    # The child reports VmHWM, the peak RSS of its own process image. Its
+    # ru_maxrss would also count the peak of this test process, which Linux
+    # carries over an exec.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(DOC24))
+    child = ("import contextlib, io, re, sys\n"
+             "from boolcube.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['analyze', sys.argv[1], '--json'])\n"
+             "status = open('/proc/self/status').read()\n"
+             "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    p = subprocess.run([sys.executable, "-c", child, str(path)],
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+    code, peak_kb = map(int, p.stdout.split())
+    assert code == 0
+    assert peak_kb <= 256 * 1024
 
 
 @pytest.mark.parametrize("doc", [

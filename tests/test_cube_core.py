@@ -233,6 +233,14 @@ def test_nei_translation_invariant():
         assert st.nei == st2.nei and st.density == st2.density
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 24])
+def test_vertex_set_mask_bounds(n):
+    assert VertexSet(n, (1 << (1 << n)) - 1).size == 1 << n
+    for bad in (1 << (1 << n), -1):
+        with pytest.raises(ValueError, match="mask does not fit dimension"):
+            VertexSet(n, bad)
+
+
 def test_complement():
     assert complement(make_set(3, [])).size == 8
     S = make_set(3, ["010", "111"])

@@ -7,6 +7,7 @@ import pytest
 from boolcube import (VertexSet, cor_order, cor_order_direct, full_set,
                       inverse_transform, make_set, transform)
 from boolcube.cube_core import index_to_vertex, vertex_index
+from boolcube.spectral import weight_table
 
 from conftest import membership, naive_transform, random_set
 
@@ -176,6 +177,12 @@ def test_translation_covariance():
         assert cor_order(S) == cor_order(S.translate(index_to_vertex(t, n)))
 
 
-def test_transform_dimension_cap():
-    with pytest.raises(ValueError):
-        transform(VertexSet(21, 0))
+def test_transform_of_the_empty_set_n21():
+    assert not transform(VertexSet(21, 0)).coeffs.any()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_weight_table_is_popcount(n):
+    wt = weight_table(n)
+    assert wt.dtype == np.int64 and not wt.flags.writeable
+    assert wt.tolist() == [bin(i).count("1") for i in range(1 << n)]

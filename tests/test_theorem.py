@@ -127,6 +127,13 @@ def test_bf_bound(hamming7):
         assert bf_bound(VertexSet(4, mask))
 
 
+@pytest.mark.parametrize("bound", [fdf_bound, bf_bound])
+def test_bounds_reject_constant_sets(bound):
+    for S in (VertexSet(3, 0), full_set(3)):
+        with pytest.raises(ValueError):
+            bound(S)
+
+
 def test_bf_equality_cases_are_perfect():
     for n in (2, 3):
         for mask in range(1, (1 << (1 << n)) - 1):
