@@ -206,6 +206,15 @@ def cmd_search(args) -> int:
                  for S in result.found],
     }
     print(json.dumps(out, indent=2, sort_keys=True))
+    if args.trace:
+        print(json.dumps({
+            "nodes": result.nodes,
+            "prunes": {"balance": result.balance_prunes,
+                       "own": result.own_prunes,
+                       "neighbour": result.neighbour_prunes},
+            "max_depth": result.max_depth,
+            "stop_reason": result.stop_reason,
+        }, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
 
@@ -276,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--canonical", action="store_true",
                     help="dedupe up to XOR-translation")
     ps.add_argument("--as-mask", action="store_true")
+    ps.add_argument("--trace", action="store_true",
+                    help="print the search's nodes, prunes per rule, "
+                         "deepest node and stop reason as one JSON line "
+                         "on stderr")
 
     pw = sub.add_parser("sweep", help="exhaustive theorem validation")
     pw.add_argument("--n", type=int, required=True)

@@ -8,7 +8,8 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
-                        _low_bit_pattern, _pack, complement, vertex_index)
+                        _low_bit_pattern, _membership_array, _pack,
+                        complement, vertex_index)
 from .coloring import (ENUMERATE_N_MAX, ParameterMatrix, _all_subsets,
                        check_perfect)
 
@@ -96,6 +97,13 @@ class SearchResult:
     found: tuple
     stop_reason: str  # "complete" | "budget" | "max_results"
     nodes: int = 0
+    # backtrack_search only: colors skipped by the size balance, nodes cut
+    # by the vertex's own room or by a neighbor's, and the most vertices
+    # colored at once
+    balance_prunes: int = 0
+    own_prunes: int = 0
+    neighbour_prunes: int = 0
+    max_depth: int = 0
 
     @property
     def exhaustive(self) -> bool:
@@ -103,16 +111,55 @@ class SearchResult:
 
 
 def canonical_mask(S: VertexSet) -> int:
-    """Lexicographically smallest mask over all XOR-translations."""
-    best = S.mask
-    members = S.member_indices()
-    for t in range(1 << S.n):
-        m = 0
-        for i in members:
-            m |= 1 << (i ^ t)
-        if m < best:
-            best = m
-    return best
+    """Lexicographically smallest mask over all XOR-translations, by
+    refinement: of all translations t, keep those whose translate S ^ t is
+    least on the top 64 indices (one big-endian word), then on the next 64,
+    and so on.  A set with fewer members than a block has indices first
+    keeps the t whose top member of S ^ t is least.  A block that keeps
+    every candidate stops the search when the candidates' differences all
+    map S onto itself: then they all give the same translate.
+    """
+    size = 1 << S.n
+    member = _membership_array(S)
+    index = np.arange(size)
+    cand = index
+    top = size
+    members = np.flatnonzero(member)
+    if len(members) < 64 < size:
+        high = np.zeros(size, dtype=index.dtype)
+        for s in members:
+            np.maximum(high, index ^ s, out=high)
+        least = high.min()
+        cand = np.flatnonzero(high == least)
+        # the kept translates agree from `least` up; refine below it in
+        # whole blocks
+        top = -(-int(least) // 64) * 64
+    while top and len(cand) > 1:
+        width = min(64, top)
+        block = member[cand[:, None] ^ np.arange(top - 1, top - 1 - width, -1)]
+        key = np.packbits(block, axis=1)
+        key = key.view(">u%d" % key.shape[1]).ravel()
+        low = key == key.min()
+        top -= width
+        if not low.all():
+            cand = cand[low]
+        elif all(np.array_equal(member[index ^ v], member)
+                 for v in _span_basis(cand ^ cand[0], S.n)):
+            break
+    return _pack(member[index ^ cand[0]])
+
+
+def _span_basis(vectors: np.ndarray, n: int) -> list[int]:
+    """A basis of the GF(2) span of `vectors`, by elimination from the top
+    bit down."""
+    basis = []
+    for k in range(n - 1, -1, -1):
+        has = vectors >> k & 1
+        if has.any():
+            pivot = vectors[np.argmax(has)]
+            basis.append(pivot)
+            vectors = np.where(has, vectors ^ pivot, vectors)
+    return basis
 
 
 def _dedupe_canonical(sets: list[VertexSet]) -> list[VertexSet]:
@@ -181,8 +228,13 @@ def backtrack_search(n: int, target: ParameterMatrix, budget: int = 10 ** 7,
     The traversal is one loop over an explicit cursor (depth d, color to
     try next): the colors assigned so far, 2^n bytes, are the stack, and
     neighbors are computed as d ^ 2^k, with no per-vertex table and no
-    recursion.  Besides the colors it keeps two 2^n-entry counters: the
-    decided and the in-S neighbors of every vertex.
+    recursion.  Besides the colors it keeps two 2^n-entry room lists:
+    room1[u] (room0[u]) is how many more in-S (out-of-S) neighbors u may
+    still take, up to max(need) (n - min(need)) while u is undecided and
+    shrunk to its color's need once it is colored.  Coloring d takes one
+    unit from the room of d's color at each neighbor; a room below zero is
+    exactly a requirement that can no longer be met.  Prunes per rule and
+    the deepest accepted node are counted on prune and retreat paths only.
     """
     _check_dimension(n)
     if max_results is not None and max_results < 1:
@@ -191,62 +243,87 @@ def backtrack_search(n: int, target: ParameterMatrix, budget: int = 10 ** 7,
     size = 1 << n
     need = (target.c, n - target.b)  # required in-S neighbors, by color
     lo_need, hi_need = min(need), max(need)
+    # what coloring d with each color takes from d's own two rooms
+    drop1 = (hi_need - need[0], hi_need - need[1])
+    drop0 = (need[0] - lo_need, need[1] - lo_need)
     bits = [1 << k for k in range(n)]
 
     color = bytearray(size)  # meaningful below the cursor only
-    cnt_in = [0] * size      # decided in-S neighbors
-    decided = [0] * size     # decided neighbors
+    room0 = [n - lo_need] * size
+    room1 = [hi_need] * size
+    rooms = (room0, room1)
     found: list[VertexSet] = []
-    nodes = in_s = 0
+    nodes = in_s = max_depth = 0
+    balance = own = neighbour = 0
     stop = "complete"
     d, col = 0, 1
     while True:
         if col == 1 and in_s >= s_target:
+            balance += 1
             col = 0
         if col == 0 and in_s + size - d - 1 < s_target:
+            balance += 1
             col = -1
         if col >= 0:
             nodes += 1
             if nodes > budget:
                 stop = "budget"
                 break
-            color[d] = col
-            in_s += col
-            cs = cnt_in[d]
-            ok = cs <= need[col] <= cs + n - decided[d]
+            own1 = room1[d] - drop1[col]
+            own0 = room0[d] - drop0[col]
+            if own1 < 0 or own0 < 0:
+                own += 1
+                col -= 1
+                continue
+            room = rooms[col]
             for bit in bits:
                 u = d ^ bit
-                cs = cnt_in[u] = cnt_in[u] + col
-                dec = decided[u] = decided[u] + 1
-                if ok:
-                    if u < d:
-                        ok = cs <= need[color[u]] <= cs + n - dec
-                    else:
-                        ok = cs <= hi_need and cs + n - dec >= lo_need
-            if ok:
-                if d + 1 < size:
-                    d += 1
-                    col = 1
-                    continue
-                S = VertexSet(n, _pack(np.frombuffer(color, dtype=np.uint8)))
-                verdict = check_perfect(S)
-                assert verdict.is_perfect and \
-                    (verdict.matrix.b, verdict.matrix.c) == (target.b, target.c)
-                found.append(S)
-                if max_results is not None and len(found) >= max_results:
-                    stop = "max_results"
+                left = room[u] - 1
+                room[u] = left
+                if left < 0:
                     break
+            if left < 0:
+                # give back the room taken so far, from this neighbor down
+                neighbour += 1
+                while bit:
+                    room[d ^ bit] += 1
+                    bit >>= 1
+                col -= 1
+                continue
+            color[d] = col
+            in_s += col
+            room1[d] = own1
+            room0[d] = own0
+            if d + 1 < size:
+                d += 1
+                col = 1
+                continue
+            S = VertexSet(n, _pack(np.frombuffer(color, dtype=np.uint8)))
+            verdict = check_perfect(S)
+            assert verdict.is_perfect and \
+                (verdict.matrix.b, verdict.matrix.c) == (target.b, target.c)
+            found.append(S)
+            max_depth = size
+            if max_results is not None and len(found) >= max_results:
+                stop = "max_results"
+                break
         elif d == 0:
             break
         else:
+            if d > max_depth:
+                max_depth = d
             d -= 1
         # retract the color of d and go on to the next one
         col = color[d]
         in_s -= col
+        room = rooms[col]
         for bit in bits:
-            u = d ^ bit
-            cnt_in[u] -= col
-            decided[u] -= 1
+            room[d ^ bit] += 1
+        room1[d] += drop1[col]
+        room0[d] += drop0[col]
         col -= 1
+    max_depth = max(max_depth, d)
     sets = _dedupe_canonical(found) if canonical else found
-    return SearchResult(n, target, tuple(sets), stop_reason=stop, nodes=nodes)
+    return SearchResult(n, target, tuple(sets), stop_reason=stop, nodes=nodes,
+                        balance_prunes=balance, own_prunes=own,
+                        neighbour_prunes=neighbour, max_depth=max_depth)

@@ -143,6 +143,26 @@ def test_search_code_n7(capsys):
     assert len(res["sets"][0]["vertices"]) == 16
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "12", "--b", "4", "--c", "4", "--max-results", "1", "--as-mask"],
+    ["--n", "8", "--b", "2", "--c", "6", "--budget", "1024"],
+    ["--n", "4", "--b", "2", "--c", "2", "--canonical"],
+])
+def test_search_trace_leaves_stdout_unchanged(capsys, argv):
+    code, plain, err = run_cli(capsys, ["search"] + argv)
+    assert code == 0 and err == ""
+    code, traced, err = run_cli(capsys, ["search"] + argv + ["--trace"])
+    assert code == 0 and traced == plain
+    assert err.count("\n") == 1
+    trace = json.loads(err)
+    summary = json.loads(plain)["summary"]
+    assert trace["nodes"] == summary["nodes"]
+    assert set(trace["prunes"]) == {"balance", "own", "neighbour"}
+    assert (trace["stop_reason"] == "complete") == summary["exhaustive"]
+    if summary["found"]:
+        assert trace["max_depth"] == 1 << summary["n"]
+
+
 def test_search_infeasible_exit4(capsys):
     assert run_cli(capsys, ["search", "--n", "3", "--b", "1",
                             "--c", "2"])[0] == 4

@@ -4,6 +4,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolcube import (Construction, ParameterMatrix, VertexSet,
                       affine_coloring, backtrack_search, check_perfect,
@@ -14,6 +15,7 @@ from boolcube.cube_core import index_to_vertex
 from boolcube.search import _check_feasible, canonical_mask
 
 from conftest import HAMMING7_WORDS
+from search_oracles import reference_backtrack, reference_canonical_mask
 
 
 def _loop_mask(n, member):
@@ -236,6 +238,15 @@ GOLDEN_TRAVERSALS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ((12, 4, 4, 16384, 1), 6144, 1, False,
      "b96586573e284585d8bae4b68e6272237d31b2dea7b770c5f663a33d1a575591"),
+    # recorded from the two-counter loop that the room-counter kernel
+    # replaced: a b < c budget miss, a first-found run, and a complete search
+    # stopped by its budget after 13 leaves
+    ((11, 3, 9, 8192, 1), 8193, 0, False,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((13, 5, 5, 32768, 1), 12032, 1, False,
+     "361e06b4fbe377591828461f1791c473becead5dbfed899912285167e2e18862"),
+    ((6, 2, 2, 3000, None), 3001, 13, False,
+     "003f0cfdf8fd5fec1b3c5d6a5c2a761a929ca253f20d3e1b2dc3ee1152055c10"),
 ]
 
 
@@ -322,3 +333,65 @@ def test_closure_under_translation():
         v = check_perfect(moved)
         ref = check_perfect(S).matrix
         assert v.is_perfect and (v.matrix.b, v.matrix.c) == (ref.b, ref.c)
+
+
+@st.composite
+def _feasible_targets(draw):
+    n = draw(st.integers(1, 7))
+    b = draw(st.integers(1, n))
+    c = draw(st.integers(1, n))
+    target = ParameterMatrix(n, b, c)
+    try:
+        s_target = _check_feasible(n, target)
+    except ValueError:
+        c = b  # (b, b) is always feasible
+        target = ParameterMatrix(n, b, c)
+        s_target = _check_feasible(n, target)
+    return target, s_target
+
+
+@settings(max_examples=80, deadline=None)
+@given(_feasible_targets(), st.integers(0, 20000),
+       st.one_of(st.none(), st.integers(1, 40)))
+def test_backtrack_matches_two_counter_reference(target, budget, max_results):
+    target, s_target = target
+    n = target.n
+    r = backtrack_search(n, target, budget=budget, max_results=max_results)
+    nodes, stop, masks, prunes, max_depth = reference_backtrack(
+        n, target.b, target.c, s_target, budget, max_results)
+    assert (r.nodes, r.stop_reason) == (nodes, stop)
+    assert [S.mask for S in r.found] == masks
+    assert (r.balance_prunes, r.own_prunes, r.neighbour_prunes) == prunes
+    assert r.max_depth == max_depth
+
+
+def test_canonical_mask_matches_reference_on_e4_colorings():
+    found = enumerate_perfect(4).found
+    assert len(found) == 86
+    for S in found:
+        assert canonical_mask(S) == reference_canonical_mask(S)
+
+
+def _coset_union(n, gens, shifts):
+    subgroup = {0}
+    for g in gens:
+        subgroup |= {x ^ g for x in subgroup}
+    return VertexSet(n, sum(1 << v for v in {x ^ r for r in shifts
+                                             for x in subgroup}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.one_of(
+        st.integers(0, (1 << (1 << n)) - 1),  # any density
+        st.lists(st.integers(0, (1 << n) - 1), max_size=80)
+        .map(lambda vs: sum(1 << v for v in set(vs))),  # sparse
+    ),
+    st.lists(st.integers(1, (1 << n) - 1), max_size=n),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))))
+def test_canonical_mask_matches_reference(args):
+    n, mask, gens, shifts = args
+    # a random set, and a union of cosets, whose translations tie in blocks
+    for S in (VertexSet(n, mask), _coset_union(n, gens, shifts)):
+        assert canonical_mask(S) == reference_canonical_mask(S)
