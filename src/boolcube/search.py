@@ -112,53 +112,40 @@ class SearchResult:
 
 def canonical_mask(S: VertexSet) -> int:
     """Lexicographically smallest mask over all XOR-translations, by
-    refinement: of all translations t, keep those whose translate S ^ t is
-    least on the top 64 indices (one big-endian word), then on the next 64,
-    and so on.  A set with fewer members than a block has indices first
-    keeps the t whose top member of S ^ t is least.  A block that keeps
-    every candidate stops the search when the candidates' differences all
-    map S onto itself: then they all give the same translate.
+    refinement: of all translations t, keep those whose translate S ^ t
+    misses the top index, if any does, then the next index, and so on.  An
+    index that splits no candidates stops the search when the candidates'
+    differences all map S onto itself: then they all give the same
+    translate.  That test runs at most once per 64 indices.  Memory is
+    O(2^n): one index of every candidate at a time.
     """
     size = 1 << S.n
     member = _membership_array(S)
     index = np.arange(size)
     cand = index
-    top = size
-    members = np.flatnonzero(member)
-    if len(members) < 64 < size:
-        high = np.zeros(size, dtype=index.dtype)
-        for s in members:
-            np.maximum(high, index ^ s, out=high)
-        least = high.min()
-        cand = np.flatnonzero(high == least)
-        # the kept translates agree from `least` up; refine below it in
-        # whole blocks
-        top = -(-int(least) // 64) * 64
-    while top and len(cand) > 1:
-        width = min(64, top)
-        block = member[cand[:, None] ^ np.arange(top - 1, top - 1 - width, -1)]
-        key = np.packbits(block, axis=1)
-        key = key.view(">u%d" % key.shape[1]).ravel()
-        low = key == key.min()
-        top -= width
-        if not low.all():
-            cand = cand[low]
-        elif all(np.array_equal(member[index ^ v], member)
-                 for v in _span_basis(cand ^ cand[0], S.n)):
-            break
+    check = size
+    for i in range(size - 1, -1, -1):
+        bit = member[cand ^ i]
+        if 0 < np.count_nonzero(bit) < len(cand):
+            cand = cand[bit == 0]
+            if len(cand) == 1:
+                break
+        elif i < check:
+            if all(np.array_equal(member[index ^ v], member)
+                   for v in _span_basis(cand ^ cand[0])):
+                break
+            check = i - 63
     return _pack(member[index ^ cand[0]])
 
 
-def _span_basis(vectors: np.ndarray, n: int) -> list[int]:
-    """A basis of the GF(2) span of `vectors`, by elimination from the top
-    bit down."""
+def _span_basis(vectors: np.ndarray) -> list[int]:
+    """A basis of the GF(2) span of the non-negative `vectors`, reduced in
+    place: take the largest vector as a pivot, and clear its top bit from
+    every vector that has it (exactly those that `^ pivot` makes smaller)."""
     basis = []
-    for k in range(n - 1, -1, -1):
-        has = vectors >> k & 1
-        if has.any():
-            pivot = vectors[np.argmax(has)]
-            basis.append(pivot)
-            vectors = np.where(has, vectors ^ pivot, vectors)
+    while pivot := vectors.max():
+        basis.append(pivot)
+        np.minimum(vectors, vectors ^ pivot, out=vectors)
     return basis
 
 
