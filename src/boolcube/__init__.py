@@ -4,15 +4,13 @@ nei/cor/rho inequality with its equality criterion."""
 
 __version__ = "0.1.0"
 
-from .cube_core import (N_MAX, CubeStats, Face, VertexSet, ball, complement,
-                        face_vertices, full_set, hamming_distance, make_set,
-                        stats)
+from .cube_core import (N_MAX, CubeStats, VertexSet, complement, full_set,
+                        make_set, stats)
 from .spectral import (Spectrum, cor_order, cor_order_direct,
                        inverse_transform, transform)
 from .macwilliams import (DistanceDistribution, DualDistribution,
-                          KrawtchoukTable, distance_distribution,
-                          inverse_macwilliams, krawtchouk,
-                          macwilliams_from_distances,
+                          distance_distribution, inverse_macwilliams,
+                          krawtchouk, macwilliams_from_distances,
                           macwilliams_from_spectrum)
 from .coloring import (ColoringVerdict, ParameterMatrix, check_perfect,
                        cor_from_matrix, is_perfect_code, spectral_support)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 2 parse/parameter error (including a dimension out of
 range: outside [1, 24] for analyze and search, [1, 4] for
-search --exhaustive, [2, 4] for sweep), 3 constant set or
+search --exhaustive and sweep), 3 constant set or
 rejected dense set (--no-complement), 4 infeasible search parameters,
 5 sweep violation.
 """
@@ -16,11 +16,11 @@ from functools import lru_cache
 
 from . import __version__
 from .cube_core import VertexSet, _check_dimension, make_set
-from .macwilliams import inverse_macwilliams, krawtchouk
-from .coloring import ParameterMatrix
+from .macwilliams import inverse_macwilliams
+from .coloring import ParameterMatrix, _check_enumerable
 from .theorem import sweep, verify
-from .search import (Construction, _check_enumerable, backtrack_search,
-                     construct, enumerate_perfect)
+from .search import (Construction, backtrack_search, construct,
+                     enumerate_perfect)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,7 +82,7 @@ def build_report(S: VertexSet, allow_complement: bool = True) -> dict:
     """
     rep = verify(S, allow_complement=allow_complement)
     dual = rep.dual
-    dist = inverse_macwilliams(dual, rep.size, krawtchouk(rep.n))
+    dist = inverse_macwilliams(dual)
     return {
         "version": __version__,
         "n": rep.n,

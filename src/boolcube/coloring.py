@@ -85,6 +85,13 @@ def _scan(S: VertexSet) -> tuple[int, ColoringVerdict]:
 ENUMERATE_N_MAX = 4  # _all_subsets holds a 2^(2^n) x 2^n matrix
 
 
+def _check_enumerable(n: int) -> None:
+    """The one limit of the exhaustive engine (`search --exhaustive`, `sweep`)."""
+    if not 1 <= n <= ENUMERATE_N_MAX:
+        raise ValueError("exhaustive enumeration supports n <= %d"
+                         % ENUMERATE_N_MAX)
+
+
 def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
     """The exhaustive engine: every subset of E^n at once, row m being the
     set with mask m.  Returns the int64 membership matrix A[m, u] =

@@ -1,5 +1,5 @@
-"""Boolean n-cube fundamentals: vertex indexing, bitset sets, Hamming metric,
-balls, faces, and the basic density / neighbor-count statistics."""
+"""Boolean n-cube fundamentals: vertex indexing, bitset sets, and the basic
+density / neighbor-count statistics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -48,10 +48,6 @@ class VertexSet:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def contains(self, v: str) -> bool:
-        _check_vertex(v, self.n)
-        return bool((self.mask >> vertex_index(v)) & 1)
-
     def members(self) -> list[str]:
         return [index_to_vertex(i, self.n) for i in self.member_indices()]
 
@@ -79,18 +75,6 @@ def _pack(member: np.ndarray) -> int:
     `_membership_array`."""
     return int.from_bytes(np.packbits(member, bitorder="little").tobytes(),
                           "little")
-
-
-@dataclass(frozen=True)
-class Face:
-    """The face {x : [x,y] = [z,y]}: coordinates selected by y are pinned to z."""
-    y: str
-    z: str
-
-    def __post_init__(self):
-        n = len(self.y)
-        _check_vertex(self.y, n)
-        _check_vertex(self.z, n)
 
 
 @dataclass(frozen=True)
@@ -134,37 +118,6 @@ def make_set(n: int, vertices) -> VertexSet:
 def full_set(n: int) -> VertexSet:
     _check_dimension(n)
     return VertexSet(n, (1 << (1 << n)) - 1)
-
-
-def hamming_distance(x: str, y: str) -> int:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch: %r vs %r" % (x, y))
-    _check_vertex(x, len(x))
-    _check_vertex(y, len(y))
-    return (vertex_index(x) ^ vertex_index(y)).bit_count()
-
-
-def ball(x: str) -> set[str]:
-    """x together with its n neighbors (the radius-1 ball)."""
-    n = len(x)
-    _check_vertex(x, n)
-    xi = vertex_index(x)
-    return {x} | {index_to_vertex(xi ^ (1 << k), n) for k in range(n)}
-
-
-def face_vertices(f: Face) -> set[str]:
-    n = len(f.y)
-    ymask = vertex_index(f.y)
-    anchor = vertex_index(f.z) & ymask
-    free = [k for k in range(n) if not (ymask >> k) & 1]
-    out = set()
-    for bits in range(1 << len(free)):
-        i = anchor
-        for pos, k in enumerate(free):
-            if (bits >> pos) & 1:
-                i |= 1 << k
-        out.add(index_to_vertex(i, n))
-    return out
 
 
 def _low_bit_pattern(n: int, k: int) -> int:

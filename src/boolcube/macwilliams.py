@@ -26,12 +26,6 @@ PAIRWISE_LIMIT = 1 << 12  # |S| above this uses the spectral route
 
 
 @dataclass(frozen=True)
-class KrawtchoukTable:
-    n: int
-    values: tuple  # values[k][i] = P_k(i)
-
-
-@dataclass(frozen=True)
 class DistanceDistribution:
     n: int
     size: int
@@ -60,17 +54,17 @@ class DualDistribution:
 
 
 @lru_cache(maxsize=None)
-def krawtchouk(n: int) -> KrawtchoukTable:
-    """P_k(i) = sum_j (-1)^j C(i,j) C(n-i, k-j); satisfies P_1(i) = n - 2i."""
+def krawtchouk(n: int) -> tuple:
+    """Rows P_0 .. P_n, row k holding P_k(i) = sum_j (-1)^j C(i,j) C(n-i, k-j)
+    for i = 0 .. n; satisfies P_1(i) = n - 2i."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    values = tuple(
+    return tuple(
         tuple(sum((-1) ** j * comb(i, j) * comb(n - i, k - j)
                   for j in range(k + 1))
               for i in range(n + 1))
         for k in range(n + 1)
     )
-    return KrawtchoukTable(n, values)
 
 
 def _pairwise_counts(members: list[int], n: int) -> tuple:
@@ -90,14 +84,14 @@ def distance_distribution(S: VertexSet) -> DistanceDistribution:
     if size == 0:
         raise ValueError("distance distribution undefined for the empty set")
     if size > PAIRWISE_LIMIT:
-        dual = macwilliams_from_spectrum(transform(S), size)
-        return inverse_macwilliams(dual, size, krawtchouk(S.n))
+        return inverse_macwilliams(macwilliams_from_spectrum(transform(S)))
     return DistanceDistribution(S.n, size,
                                 _pairwise_counts(S.member_indices(), S.n))
 
 
-def macwilliams_from_spectrum(sp: Spectrum, size: int) -> DualDistribution:
-    """D_k = sum over weight-k vectors of a_hat(v)^2."""
+def macwilliams_from_spectrum(sp: Spectrum) -> DualDistribution:
+    """D_k = sum over weight-k vectors of a_hat(v)^2; |S| = a_hat(0)."""
+    size = int(sp.coeffs[0])
     if size == 0:
         raise ValueError("dual distribution undefined for |S| = 0")
     idx, bounds = _weight_classes(sp.n)
@@ -108,27 +102,24 @@ def macwilliams_from_spectrum(sp: Spectrum, size: int) -> DualDistribution:
     return DualDistribution(sp.n, size, tuple(duals))
 
 
-def macwilliams_from_distances(d: DistanceDistribution,
-                               k: KrawtchoukTable) -> DualDistribution:
+def _krawtchouk_sums(n: int, xs: tuple) -> list:
+    """sum_i xs[i] P_k(i) for k = 0 .. n."""
+    return [sum(x * p for x, p in zip(xs, row)) for row in krawtchouk(n)]
+
+
+def macwilliams_from_distances(d: DistanceDistribution) -> DualDistribution:
     """Krawtchouk route: D_k = sum_i N_i P_k(i)."""
-    if d.n != k.n:
-        raise ValueError("dimension mismatch: %d vs %d" % (d.n, k.n))
-    duals = tuple(sum(d.counts[i] * k.values[kk][i] for i in range(d.n + 1))
-                  for kk in range(d.n + 1))
-    return DualDistribution(d.n, d.size, duals)
+    return DualDistribution(d.n, d.size,
+                            tuple(_krawtchouk_sums(d.n, d.counts)))
 
 
-def inverse_macwilliams(dual: DualDistribution, size: int,
-                        k: KrawtchoukTable) -> DistanceDistribution:
+def inverse_macwilliams(dual: DualDistribution) -> DistanceDistribution:
     """Recover N_k = (1/2^n) sum_i D_i P_k(i); exact, the division is whole."""
-    if dual.n != k.n:
-        raise ValueError("dimension mismatch: %d vs %d" % (dual.n, k.n))
     total = 1 << dual.n
     counts = []
-    for kk in range(dual.n + 1):
-        num = sum(dual.duals[i] * k.values[kk][i] for i in range(dual.n + 1))
+    for kk, num in enumerate(_krawtchouk_sums(dual.n, dual.duals)):
         if num % total:
             raise ValueError("dual distribution is not realizable: "
                              "N_%d would be %s/%d" % (kk, num, total))
         counts.append(num // total)
-    return DistanceDistribution(dual.n, size, tuple(counts))
+    return DistanceDistribution(dual.n, dual.size, tuple(counts))

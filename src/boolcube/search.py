@@ -7,10 +7,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
+from .cube_core import (VertexSet, _check_dimension, _check_vertex,
                         _low_bit_pattern, _membership_array, _pack,
                         complement, vertex_index)
-from .coloring import (ENUMERATE_N_MAX, ParameterMatrix, _all_subsets,
+from .coloring import (ParameterMatrix, _all_subsets, _check_enumerable,
                        check_perfect)
 
 
@@ -41,9 +41,7 @@ def hamming_code(m: int) -> VertexSet:
     if m < 2:
         raise ValueError("hamming construction needs m >= 2")
     n = (1 << m) - 1
-    if n > N_MAX:
-        raise ValueError("hamming(m=%d) gives n=%d beyond the cap %d"
-                         % (m, n, N_MAX))
+    _check_dimension(n)
     # Bit p of an index (from the LSB) is coordinate n - p, whose column is
     # the binary expansion of n - p; syndrome bit j is the parity of the
     # index's bits p with bit j of n - p set.
@@ -156,12 +154,6 @@ def _dedupe_canonical(sets: list[VertexSet]) -> list[VertexSet]:
         if key not in seen:
             seen[key] = VertexSet(S.n, key)
     return [seen[k] for k in sorted(seen)]
-
-
-def _check_enumerable(n: int) -> None:
-    if not 1 <= n <= ENUMERATE_N_MAX:
-        raise ValueError("exhaustive enumeration supports n <= %d"
-                         % ENUMERATE_N_MAX)
 
 
 def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,

@@ -5,8 +5,10 @@
 with equality exactly on perfect 2-colorings, plus the two prior bounds
 (Fon-Der-Flaass; Bierbrauer-Friedman) and the perfect-code rigidity check.
 
-Everything is decided in integer-cleared form (multiplied through by
-|S| * 2^n); no floating point anywhere.
+`verify` decides the inequality in exact `Fraction`s; the two bounds are
+decided in integer-cleared form (multiplied through by 2^n and by 2(cor+1)),
+by helpers that take ints or numpy arrays, so that `verify`, `fdf_bound`,
+`bf_bound` and `sweep` share them.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import numpy as np
 from .cube_core import VertexSet, _cube_stats, complement
 from .spectral import cor_order, transform, weight_table
 from .macwilliams import DualDistribution, macwilliams_from_spectrum
-from .coloring import (ENUMERATE_N_MAX, ParameterMatrix, _all_subsets, _scan,
-                       is_perfect_code)
+from .coloring import (ParameterMatrix, _all_subsets, _check_enumerable,
+                       _scan, is_perfect_code)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
     T, swapped = _normalize(S, allow_complement)
     n1, verdict = _scan(T)
     st = _cube_stats(T.n, T.size, n1)
-    dual = macwilliams_from_spectrum(transform(T), st.size)
+    dual = macwilliams_from_spectrum(transform(T))
     cor = dual.support[1] - 1
     lhs = st.nei + 2 * (cor + 1) * (1 - st.density)
     slack = T.n - lhs
@@ -76,31 +78,33 @@ def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
         slack=slack,
         is_perfect=verdict.is_perfect,
         matrix=verdict.matrix,
-        fdf_bound_ok=_fdf_ok(T.n, st.density, cor),
-        bf_bound_ok=_bf_ok(T.n, st.density, cor),
+        fdf_bound_ok=_fdf_ok(T.n, st.size, cor),
+        bf_bound_ok=_bf_margin(T.n, st.size, cor) >= 0,
         complemented=swapped,
         dual=dual,
     )
 
 
-def _fdf_ok(n: int, rho: Fraction, cor: int) -> bool:
-    """cor <= 2n/3 - 1 for unbalanced functions (balanced ones are exempt)."""
-    return rho == Fraction(1, 2) or 3 * (cor + 1) <= 2 * n
+def _fdf_ok(n: int, size, cor):
+    """cor <= 2n/3 - 1 for unbalanced functions (balanced ones are exempt),
+    as 3(cor+1) <= 2n."""
+    return (2 * size == 1 << n) | (3 * (cor + 1) <= 2 * n)
 
 
-def _bf_ok(n: int, rho: Fraction, cor: int) -> bool:
-    """rho >= 1 - n / (2(cor+1)), exact rational comparison."""
-    return rho >= 1 - Fraction(n, 2 * (cor + 1))
+def _bf_margin(n: int, size, cor):
+    """rho >= 1 - n / (2(cor+1)) times 2^n * 2(cor+1), as a difference:
+    >= 0 where the bound holds, 0 at equality."""
+    return n * (1 << n) - 2 * (cor + 1) * ((1 << n) - size)
 
 
 def fdf_bound(S: VertexSet) -> bool:
     """Fon-Der-Flaass: cor <= 2n/3 - 1 unless S is balanced."""
-    return _fdf_ok(S.n, Fraction(S.size, 1 << S.n), cor_order(S))
+    return _fdf_ok(S.n, S.size, cor_order(S))
 
 
 def bf_bound(S: VertexSet) -> bool:
     """Bierbrauer-Friedman: rho >= 1 - n / (2(cor+1))."""
-    return _bf_ok(S.n, Fraction(S.size, 1 << S.n), cor_order(S))
+    return _bf_margin(S.n, S.size, cor_order(S)) >= 0
 
 
 def code_rigidity(S: VertexSet, reference_n: int) -> bool:
@@ -141,9 +145,7 @@ def sweep(n: int) -> SweepSummary:
     The two routes are independent: cor comes from the Walsh spectra, the
     perfect verdict from direct neighbor counting.
     """
-    if not 2 <= n <= ENUMERATE_N_MAX:
-        raise ValueError("exhaustive sweep supports 2 <= n <= %d"
-                         % ENUMERATE_N_MAX)
+    _check_enumerable(n)
     size = 1 << n
     nmasks = 1 << size
     masks = np.arange(nmasks, dtype=np.int64)
@@ -170,15 +172,11 @@ def sweep(n: int) -> SweepSummary:
 
     ok_a = slack_int >= 0
     ok_b = (slack_int == 0) == perf_e
-    balanced = 2 * s == size
-    ok_fdf = balanced | (3 * (cor + 1) <= 2 * n)
-    bf_lhs = 2 * (cor + 1) * s + n * size
-    bf_rhs = 2 * (cor + 1) * size
-    ok_bf = bf_lhs >= bf_rhs
-    bf_eq = nonconst & (bf_lhs == bf_rhs)
+    bf = _bf_margin(n, s, cor)
+    bf_eq = nonconst & (bf == 0)
     ok_bf_eq = ~bf_eq | perfect
 
-    bad = nonconst & ~(ok_a & ok_b & ok_fdf & ok_bf & ok_bf_eq)
+    bad = nonconst & ~(ok_a & ok_b & _fdf_ok(n, s, cor) & (bf >= 0) & ok_bf_eq)
     return SweepSummary(
         n=n,
         checked=int(nonconst.sum()),

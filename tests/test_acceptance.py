@@ -12,7 +12,7 @@ import numpy as np
 from boolcube import (ParameterMatrix, VertexSet, backtrack_search,
                       check_perfect, cor_order, cor_order_direct,
                       distance_distribution, enumerate_perfect, hamming_code,
-                      inverse_macwilliams, inverse_transform, krawtchouk,
+                      inverse_macwilliams, inverse_transform,
                       macwilliams_from_distances, macwilliams_from_spectrum,
                       spectral_support, sweep, transform, verify)
 
@@ -51,7 +51,7 @@ def test_criterion_2_hamming7_end_to_end():
     assert (r.matrix.b, r.matrix.c) == (7, 1)
     assert r.matrix.rows == ((0, 7), (1, 6))
     assert spectral_support(S) == {0, 4}
-    dual = macwilliams_from_distances(distance_distribution(S), krawtchouk(7))
+    dual = macwilliams_from_distances(distance_distribution(S))
     assert dual.Bprime == tuple(Fraction(x)
                                 for x in (1, 0, 0, 0, 7, 0, 0, 0))
     _report(2, "Hamming(7): |S|=16 rho=1/8 nei=0 cor=3 matrix ((0,7),(1,6)) "
@@ -59,12 +59,11 @@ def test_criterion_2_hamming7_end_to_end():
 
 
 def _macwilliams_checks(S: VertexSet) -> None:
-    tab = krawtchouk(S.n)
     d = distance_distribution(S)
-    via_k = macwilliams_from_distances(d, tab)
-    via_sp = macwilliams_from_spectrum(transform(S), S.size)
+    via_k = macwilliams_from_distances(d)
+    via_sp = macwilliams_from_spectrum(transform(S))
     assert via_k == via_sp
-    assert inverse_macwilliams(via_k, S.size, tab) == d
+    assert inverse_macwilliams(via_k) == d
     assert all(x >= 0 for x in via_k.duals)                   # (a)
     assert via_k.duals[0] == S.size ** 2                      # (c)
     assert sum(via_k.Bprime) == Fraction(1 << S.n, S.size)    # (d)

@@ -120,6 +120,9 @@ def test_construct_affine(capsys):
 
 def test_construct_invalid_exit2(capsys):
     assert run_cli(capsys, ["construct", "hamming", "--m", "1"])[0] == 2
+    code, out, err = run_cli(capsys, ["construct", "hamming", "--m", "5"])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid parameters: dimension 31 out of range")
     assert run_cli(capsys, ["construct", "affine", "--n", "3",
                             "--v", "000"])[0] == 2
 
@@ -188,7 +191,7 @@ def test_search_exhaustive_rejects_max_results_exit2(capsys):
 
 
 def test_sweep(capsys):
-    for n in ("2", "3", "4"):
+    for n in ("1", "2", "3", "4"):
         code, out, _ = run_cli(capsys, ["sweep", "--n", n])
         assert code == 0
         assert "no violations" in out
@@ -282,7 +285,7 @@ def test_analyze_rejects_malformed_documents_exit2(tmp_path, capsys, doc):
 def test_sweep_out_of_range_exit2(capsys):
     code, out, err = run_cli(capsys, ["sweep", "--n", "5"])
     assert code == 2 and out == ""
-    assert "2 <= n <= 4" in err
+    assert "exhaustive enumeration supports n <= 4" in err
 
 
 def test_search_negative_budget_exit2(capsys):

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boolcube import (Face, VertexSet, ball, complement, face_vertices,
-                      full_set, hamming_distance, make_set, stats)
+from boolcube import VertexSet, complement, full_set, make_set, stats
 from boolcube.cube_core import distance_one_pairs, index_to_vertex, vertex_index
 
 from conftest import random_set
@@ -14,7 +13,7 @@ from conftest import random_set
 def test_make_set_basic():
     S = make_set(3, ["000", "001", "110", "111"])
     assert S.size == 4
-    assert S.contains("110") and not S.contains("010")
+    assert "110" in S.members() and "010" not in S.members()
 
 
 def test_make_set_empty():
@@ -144,37 +143,6 @@ def test_member_indices_and_translate_n18():
     assert S.member_indices() == _member_indices_loop(S)
     t = index_to_vertex(rng.getrandbits(18), 18)
     assert S.translate(t) == _translate_loop(S, t)
-
-
-def test_hamming_distance():
-    assert hamming_distance("0110", "0110") == 0
-    assert hamming_distance("000", "111") == 3
-    assert hamming_distance("0110", "1110") == 1
-    with pytest.raises(ValueError):
-        hamming_distance("01", "011")
-
-
-def test_ball():
-    assert ball("00") == {"00", "01", "10"}
-    assert ball("0") == {"0", "1"}
-    assert len(ball("0000000")) == 8
-
-
-def test_face_vertices():
-    assert face_vertices(Face("110", "100")) == {"100", "101"}
-    assert face_vertices(Face("000", "010")) == {index_to_vertex(i, 3)
-                                                 for i in range(8)}
-    assert face_vertices(Face("111", "011")) == {"011"}
-
-
-def test_face_cardinality():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(1, 6)
-        y = index_to_vertex(rng.getrandbits(n), n)
-        z = index_to_vertex(rng.getrandbits(n), n)
-        fv = face_vertices(Face(y, z))
-        assert len(fv) == 1 << (n - y.count("1"))
 
 
 def test_index_round_trip_exhaustive():

@@ -182,14 +182,34 @@ def test_sweep_small():
         sweep(5)
 
 
+@pytest.mark.parametrize("n, expected", [
+    (1, (2, 2, 2, 2)),
+    (2, (14, 6, 6, 2)),
+    (3, (254, 22, 22, 6)),
+    (4, (65534, 86, 86, 2)),
+])
+def test_sweep_summary_pinned(n, expected):
+    s = sweep(n)
+    assert s.violations == ()
+    assert (s.checked, s.equality_cases, s.perfect_count,
+            s.bf_equality_cases) == expected
+
+
 def test_sweep_matches_verify_on_n3():
-    s = sweep(3)
-    perfect = equal = 0
-    for mask in range(1, 255):
-        r = verify(VertexSet(3, mask))
-        assert r.slack >= 0
-        assert (r.slack == 0) == r.is_perfect
-        perfect += check_perfect(VertexSet(3, mask)).is_perfect
-        equal += r.slack == 0
-    assert perfect == s.perfect_count
-    assert equal == s.equality_cases
+    # verify decides in Fractions and the BF equality is counted from the
+    # rational form, independently of sweep's integer-cleared forms
+    for n in (1, 2, 3):
+        s = sweep(n)
+        perfect = equal = bf_equal = 0
+        for mask in range(1, (1 << (1 << n)) - 1):
+            S = VertexSet(n, mask)
+            r = verify(S)
+            assert r.slack >= 0
+            assert (r.slack == 0) == r.is_perfect
+            perfect += check_perfect(S).is_perfect
+            equal += r.slack == 0
+            bf_equal += (stats(S).density
+                         == 1 - Fraction(n, 2 * (cor_order(S) + 1)))
+        assert perfect == s.perfect_count
+        assert equal == s.equality_cases
+        assert bf_equal == s.bf_equality_cases
