@@ -19,8 +19,8 @@ from .cube_core import VertexSet, _check_dimension, make_set
 from .macwilliams import inverse_macwilliams
 from .coloring import ParameterMatrix, _check_enumerable
 from .theorem import sweep, verify
-from .search import (Construction, backtrack_search, construct,
-                     enumerate_perfect)
+from .search import (DEFAULT_BUDGET, Construction, backtrack_search,
+                     construct, enumerate_perfect)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--b", type=int, required=True)
     ps.add_argument("--c", type=int, required=True)
-    ps.add_argument("--budget", type=int, default=10 ** 7,
+    ps.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="node budget of the backtracking search; "
                          "--exhaustive ignores it")
     ps.add_argument("--max-results", type=int, default=None,

@@ -12,12 +12,13 @@ a perfect code has (b, c) = (n, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .cube_core import VertexSet, _membership_array, index_to_vertex
-from .spectral import _pair_levels, transform, weight_table
+from .spectral import _butterfly, _pair_levels, transform, weight_table
 
 
 @dataclass(frozen=True)
@@ -82,37 +83,45 @@ def _scan(S: VertexSet) -> tuple[int, ColoringVerdict]:
     return n1, ColoringVerdict(True, matrix, None)
 
 
-ENUMERATE_N_MAX = 4  # _all_subsets holds a 2^(2^n) x 2^n matrix
+ENUMERATE_N_MAX = 4  # _all_subsets holds 2^n x 2^(2^n) tables
 
 
 def _check_enumerable(n: int) -> None:
     """The one limit of the exhaustive engine (`search --exhaustive`, `sweep`)."""
     if not 1 <= n <= ENUMERATE_N_MAX:
-        raise ValueError("exhaustive enumeration supports n <= %d"
-                         % ENUMERATE_N_MAX)
+        raise ValueError("exhaustive enumeration: dimension %r out of range "
+                         "[1, %d]" % (n, ENUMERATE_N_MAX))
 
 
+@lru_cache(maxsize=None)
 def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
-    """The exhaustive engine: every subset of E^n at once, row m being the
-    set with mask m.  Returns the int64 membership matrix A[m, u] =
-    (m >> u) & 1, the row sizes |S|, the in-S neighbor counts
-    C = A @ adjacency, the perfect verdict per row (non-constant, with one
-    in-S neighbor count over the S-vertices and one over the rest), and b
-    and c per row (meaningful where perfect)."""
-    size = 1 << n
-    vid = np.arange(size, dtype=np.int64)
-    A = (np.arange(1 << size, dtype=np.int64)[:, None] >> vid[None, :]) & 1
-    adj = (weight_table(n)[vid[:, None] ^ vid[None, :]] == 1).astype(np.int64)
-    C = A @ adj
-    s = A.sum(axis=1)
-    member = A == 1
-    in_min = np.where(member, C, size + 1).min(axis=1)
-    in_max = np.where(member, C, -1).max(axis=1)
-    out_min = np.where(member, size + 1, C).min(axis=1)
-    out_max = np.where(member, -1, C).max(axis=1)
-    perfect = ((s > 0) & (s < size) & (in_min == in_max)
-               & (out_min == out_max))
-    return A, s, C, perfect, n - in_min, out_min
+    """The exhaustive engine, once per n: the per-set kernels run on the
+    vertex-major table member[u, m] = (m >> u) & 1, whose column m is the
+    set with mask m.  Returns read-only vectors indexed by mask: |S|, N_1,
+    the perfect verdict, b and c (where perfect), all from the in-S
+    neighbour counts, and cor (where non-constant) from the spectra alone."""
+    _check_enumerable(n)
+    size, nmasks = 1 << n, 1 << (1 << n)
+    masks = np.arange(nmasks)
+    member = (masks >> np.arange(size)[:, None] & 1).astype(np.uint8)
+    cnt = np.zeros_like(member)
+    spec = member.astype(np.int32)
+    for k in range(n):  # bit k of u pairs rows u and u ^ 2^k
+        view = (-1, 2, nmasks << k)
+        _add_partner(cnt.reshape(view), member.reshape(view))
+        _butterfly(spec.reshape(view))
+    s = member.sum(axis=0, dtype=np.int64)
+    n1 = (cnt * member).sum(axis=0, dtype=np.int64)  # cnt <= n: exact
+    # b, c read at the first vertex of each color; perfect iff all agree
+    b = n - cnt[member.argmax(axis=0), masks].astype(np.int64)
+    c = cnt[member.argmin(axis=0), masks].astype(np.int64)
+    perfect = ((s > 0) & (s < size)
+               & (cnt == np.where(member, n - b, c)).all(axis=0))
+    wt = weight_table(n)[:, None]
+    cor = np.where((spec != 0) & (wt > 0), wt, n + 1).min(axis=0) - 1
+    for v in (s, n1, perfect, b, c, cor):
+        v.setflags(write=False)
+    return s, n1, perfect, b, c, cor
 
 
 def cor_from_matrix(m: ParameterMatrix) -> int:

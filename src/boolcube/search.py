@@ -10,8 +10,7 @@ import numpy as np
 from .cube_core import (VertexSet, _check_dimension, _check_vertex,
                         _low_bit_pattern, _membership_array, _pack,
                         complement, vertex_index)
-from .coloring import (ParameterMatrix, _all_subsets, _check_enumerable,
-                       check_perfect)
+from .coloring import ParameterMatrix, _all_subsets, check_perfect
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,10 @@ def half_cube(n: int, coord: int = 1) -> VertexSet:
 
 
 def construct(c: Construction) -> VertexSet:
+    required = {"hamming": ("m",), "affine": ("n", "v"), "half_cube": ("n",)}
+    for name in required.get(c.kind, ()):
+        if getattr(c, name) is None:
+            raise ValueError("the %s construction needs %s" % (c.kind, name))
     if c.kind == "hamming":
         S = hamming_code(c.m)
     elif c.kind == "affine":
@@ -160,8 +163,7 @@ def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
                       canonical: bool = False) -> SearchResult:
     """Brute force over all 2^(2^n) subsets with the exhaustive engine that
     `sweep` also runs; every hit certified by the direct per-vertex scan."""
-    _check_enumerable(n)
-    _, _, _, perfect, bs, cs = _all_subsets(n)
+    _, _, perfect, bs, cs, _ = _all_subsets(n)
     found = []
     for mask in np.flatnonzero(perfect).tolist():
         b, c = int(bs[mask]), int(cs[mask])
@@ -191,7 +193,11 @@ def _check_feasible(n: int, target: ParameterMatrix) -> int:
     return (c * total) // (b + c)
 
 
-def backtrack_search(n: int, target: ParameterMatrix, budget: int = 10 ** 7,
+DEFAULT_BUDGET = 10 ** 7  # nodes; also the CLI's --budget default
+
+
+def backtrack_search(n: int, target: ParameterMatrix,
+                     budget: int = DEFAULT_BUDGET,
                      max_results: Optional[int] = None,
                      canonical: bool = False) -> SearchResult:
     """Depth-first color assignment in vertex-index order with sound pruning.

@@ -19,10 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import VertexSet, _cube_stats, complement
-from .spectral import cor_order, transform, weight_table
+from .spectral import cor_order, transform
 from .macwilliams import DualDistribution, macwilliams_from_spectrum
-from .coloring import (ParameterMatrix, _all_subsets, _check_enumerable,
-                       _scan, is_perfect_code)
+from .coloring import ParameterMatrix, _all_subsets, _scan, is_perfect_code
 
 
 @dataclass(frozen=True)
@@ -135,36 +134,20 @@ class SweepSummary:
 
 
 def sweep(n: int) -> SweepSummary:
-    """Exhaustive validation over every non-constant subset of E^n (n <= 4).
-
-    For each subset (complemented when rho > 1/2) it checks, in exact integer
-    arithmetic: slack >= 0, slack = 0 iff the independent per-vertex scan
-    certifies a perfect coloring, both prior bounds, and that every
-    Bierbrauer-Friedman equality case is perfect.
-
-    The two routes are independent: cor comes from the Walsh spectra, the
-    perfect verdict from direct neighbor counting.
-    """
-    _check_enumerable(n)
+    """Exhaustive validation over every non-constant subset of E^n (n <= 4),
+    read off the exhaustive engine `_all_subsets(n)`.  For each subset
+    (complemented when rho > 1/2) it checks in exact integer arithmetic:
+    slack >= 0, slack = 0 iff the neighbour counts give a perfect coloring,
+    both prior bounds, and that every Bierbrauer-Friedman equality case is
+    perfect.  The routes are independent: cor comes from the Walsh spectra,
+    N_1 and the perfect verdict from the counts."""
     size = 1 << n
-    nmasks = 1 << size
-    masks = np.arange(nmasks, dtype=np.int64)
-    vid = np.arange(size, dtype=np.int64)
-    A, s, C, perfect, _, _ = _all_subsets(n)
-
-    # spectral route: spectra = A @ W, W[u, v] = (-1)^popcount(u & v)
-    W = 1 - 2 * (weight_table(n)[vid[:, None] & vid[None, :]] & 1)
-    spectra = A @ W
-    wt = weight_table(n)
-    nzw = np.where((spectra != 0) & (wt[None, :] > 0), wt[None, :], n + 2)
-    cor = nzw.min(axis=1) - 1  # meaningful for non-constant masks only
-
-    # direct route: the per-vertex in-S neighbor counts of the engine
-    n1 = (A * C).sum(axis=1)
+    s, n1, perfect, _, _, cor = _all_subsets(n)
+    masks = np.arange(len(s))
     nonconst = (s > 0) & (s < size)
 
     # complement when rho > 1/2 (cor is complement-invariant; perfect too)
-    eff = np.where(2 * s > size, masks ^ (nmasks - 1), masks)
+    eff = np.where(2 * s > size, masks ^ (len(s) - 1), masks)
     s_e, n1_e, perf_e = s[eff], n1[eff], perfect[eff]
 
     # slack * |S| * 2^n = n*s*2^n - N1*2^n - 2(cor+1) s (2^n - s)

@@ -125,6 +125,15 @@ def test_construct_invalid_exit2(capsys):
     assert err.startswith("invalid parameters: dimension 31 out of range")
     assert run_cli(capsys, ["construct", "affine", "--n", "3",
                             "--v", "000"])[0] == 2
+    for argv, message in [
+        (["hamming"], "the hamming construction needs m"),
+        (["half-cube"], "the half_cube construction needs n"),
+        (["affine", "--v", "110"], "the affine construction needs n"),
+        (["affine", "--n", "3"], "the affine construction needs v"),
+    ]:
+        code, out, err = run_cli(capsys, ["construct"] + argv)
+        assert code == 2 and out == ""
+        assert err == "invalid parameters: %s\n" % message
 
 
 def test_search_n2(capsys):
@@ -174,7 +183,12 @@ def test_search_infeasible_exit4(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--n", "25"], "dimension 25 out of range"),
     (["--n", "0"], "dimension 0 out of range"),
-    (["--exhaustive", "--n", "5"], "exhaustive enumeration supports n <= 4"),
+    pytest.param(["--exhaustive", "--n", "5"],
+                 "exhaustive enumeration: dimension 5 out of range [1, 4]",
+                 id="exhaustive-n5"),
+    pytest.param(["--exhaustive", "--n", "0"],
+                 "exhaustive enumeration: dimension 0 out of range [1, 4]",
+                 id="exhaustive-n0"),
 ])
 def test_search_dimension_out_of_range_exit2(capsys, argv, message):
     code, out, err = run_cli(capsys, ["search", "--b", "2", "--c", "2"] + argv)
@@ -283,9 +297,11 @@ def test_analyze_rejects_malformed_documents_exit2(tmp_path, capsys, doc):
 
 
 def test_sweep_out_of_range_exit2(capsys):
-    code, out, err = run_cli(capsys, ["sweep", "--n", "5"])
-    assert code == 2 and out == ""
-    assert "exhaustive enumeration supports n <= 4" in err
+    for n in ("5", "0"):
+        code, out, err = run_cli(capsys, ["sweep", "--n", n])
+        assert code == 2 and out == ""
+        assert ("exhaustive enumeration: dimension %s out of range [1, 4]"
+                % n) in err
 
 
 def test_search_negative_budget_exit2(capsys):

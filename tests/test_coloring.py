@@ -9,7 +9,9 @@ from boolcube import (ParameterMatrix, VertexSet, affine_coloring,
                       check_perfect, complement, cor_from_matrix, cor_order,
                       full_set, is_perfect_code, make_set, spectral_support,
                       stats)
-from boolcube.coloring import _neighbor_counts
+from boolcube.coloring import _all_subsets, _neighbor_counts
+from boolcube.search import enumerate_perfect
+from boolcube.theorem import sweep
 from boolcube.cube_core import index_to_vertex
 
 from conftest import membership, random_set
@@ -158,3 +160,52 @@ def test_complement_duality():
             assert v.is_perfect == w.is_perfect
             if v.is_perfect:
                 assert (w.matrix.b, w.matrix.c) == (v.matrix.c, v.matrix.b)
+
+
+def _check_engine_against_per_set_routes(n, masks):
+    size, n1, perfect, b, c, cor = _all_subsets(n)
+    for mask in masks:
+        S = VertexSet(n, mask)
+        assert size[mask] == S.size
+        if S.size == 0:
+            assert n1[mask] == 0 and not perfect[mask]
+            continue
+        assert n1[mask] == stats(S).neighbor_sum - S.size
+        if S.size == 1 << n:
+            assert not perfect[mask]
+            continue
+        v = check_perfect(S)
+        assert perfect[mask] == v.is_perfect
+        if v.is_perfect:
+            assert (b[mask], c[mask]) == (v.matrix.b, v.matrix.c)
+        assert cor[mask] == cor_order(S)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_engine_matches_per_set_routes_on_every_mask(n):
+    _check_engine_against_per_set_routes(n, range(1 << (1 << n)))
+
+
+def test_engine_matches_per_set_routes_n4():
+    perfect = _all_subsets(4)[2]
+    every_perfect = np.flatnonzero(perfect).tolist()
+    assert len(every_perfect) == 86
+    sample = random.Random(4).sample(range(1 << 16), 1000)
+    _check_engine_against_per_set_routes(4, every_perfect + sample
+                                         + [0, (1 << 16) - 1])
+
+
+def test_engine_is_built_once_per_n():
+    _all_subsets.cache_clear()
+    sweep(4)
+    enumerate_perfect(4)
+    sweep(4)
+    info = _all_subsets.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_engine_vectors_are_read_only():
+    for v in _all_subsets(2):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1

@@ -107,6 +107,14 @@ def test_construct_dispatch():
         construct(Construction("affine", n=3, v="000"))
     with pytest.raises(ValueError):
         construct(Construction("half_cube", n=3, coord=5))
+    for c, message in [
+        (Construction("hamming"), "the hamming construction needs m"),
+        (Construction("half_cube"), "the half_cube construction needs n"),
+        (Construction("affine", v="110"), "the affine construction needs n"),
+        (Construction("affine", n=3), "the affine construction needs v"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            construct(c)
 
 
 def test_enumerate_n2_antipodal():
