@@ -16,6 +16,6 @@ from .coloring import (ColoringVerdict, ParameterMatrix, check_perfect,
                        cor_from_matrix, is_perfect_code, spectral_support)
 from .theorem import (SweepSummary, TheoremReport, bf_bound, code_rigidity,
                       fdf_bound, sweep, verify)
-from .search import (Construction, SearchResult, affine_coloring,
-                     backtrack_search, construct, enumerate_perfect,
-                     half_cube, hamming_code)
+from .search import (Construction, Infeasible, SearchResult,
+                     affine_coloring, backtrack_search, construct,
+                     enumerate_perfect, half_cube, hamming_code)

@@ -1,10 +1,10 @@
 """Batch front-end: parse set documents, run the analyses, emit reports.
 
-Exit codes: 0 ok, 2 parse/parameter error (including a dimension out of
-range: outside [1, 24] for analyze and search, [1, 4] for
-search --exhaustive and sweep), 3 constant set or
-rejected dense set (--no-complement), 4 infeasible search parameters,
-5 sweep violation.
+Exit codes: 0 ok, 2 parse/parameter error (a dimension outside [1, 24]
+for analyze and search or [1, 4] for search --exhaustive and sweep, or a
+construct parameter the kind does not take), 3 constant set or rejected
+dense set (--no-complement), 4 no (b, c) coloring on either search route
+(`Infeasible`), 5 sweep violation.
 """
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ from functools import lru_cache
 from . import __version__
 from .cube_core import VertexSet, _check_dimension, make_set
 from .macwilliams import inverse_macwilliams
-from .coloring import ParameterMatrix, _check_enumerable
+from .coloring import ParameterMatrix
 from .theorem import sweep, verify
-from .search import (DEFAULT_BUDGET, Construction, backtrack_search,
-                     construct, enumerate_perfect)
+from .search import (DEFAULT_BUDGET, Construction, Infeasible,
+                     backtrack_search, construct, enumerate_perfect)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -162,11 +162,7 @@ def cmd_construct(args) -> int:
 
 
 def _check_search_args(args) -> None:
-    """Parameter errors (exit 2), checked before (b, c) feasibility (exit 4)."""
-    if args.exhaustive:
-        _check_enumerable(args.n)
-    else:
-        _check_dimension(args.n)
+    """The flag rules the engines cannot see; the engines check the rest."""
     if args.budget < 0:
         raise ValueError("--budget must be >= 0")
     if args.max_results is not None and args.max_results < 1:
@@ -177,22 +173,21 @@ def _check_search_args(args) -> None:
 
 
 def cmd_search(args) -> int:
-    try:
-        _check_search_args(args)
-    except ValueError as exc:
-        print("parameter error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
     target = ParameterMatrix(args.n, args.b, args.c)
     try:
+        _check_search_args(args)
         if args.exhaustive:
             result = enumerate_perfect(args.n, target, canonical=args.canonical)
         else:
             result = backtrack_search(args.n, target, budget=args.budget,
                                       max_results=args.max_results,
                                       canonical=args.canonical)
-    except ValueError as exc:
+    except Infeasible as exc:
         print("infeasible parameters: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        print("parameter error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     out = {
         "summary": {
             "n": result.n,
@@ -264,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--m", type=int, help="hamming: n = 2^m - 1")
     pc.add_argument("--n", type=int, help="cube dimension")
     pc.add_argument("--v", help="affine: defining vector, e.g. 110")
-    pc.add_argument("--eps", type=int, default=0, help="affine: constant term")
-    pc.add_argument("--coord", type=int, default=1,
-                    help="half-cube: pinned coordinate")
+    pc.add_argument("--eps", type=int, help="affine: constant term")
+    pc.add_argument("--coord", type=int, help="half-cube: pinned coordinate")
     pc.add_argument("--as-mask", action="store_true",
                     help="emit mask_hex instead of a vertex list")
 

@@ -140,24 +140,15 @@ def distance_one_pairs(S: VertexSet) -> int:
     return 2 * pairs
 
 
-def _cube_stats(n: int, size: int, n1: int) -> CubeStats:
-    """The statistics of a nonempty S of this size with N_1 = n1."""
-    neighbor_sum = size + n1
-    return CubeStats(
-        size=size,
-        density=Fraction(size, 1 << n),
-        neighbor_sum=neighbor_sum,
-        nei=Fraction(neighbor_sum, size) - 1,
-    )
-
-
 def stats(S: VertexSet) -> CubeStats:
     """From big-int shifts of the mask; `theorem.verify` takes N_1 from its
     neighbour scan instead, and this stays as the cross-check route."""
     size = S.size
     if size == 0:
         raise ValueError("stats undefined for the empty set")
-    return _cube_stats(S.n, size, distance_one_pairs(S))
+    n1 = distance_one_pairs(S)
+    return CubeStats(size=size, density=Fraction(size, 1 << S.n),
+                     neighbor_sum=size + n1, nei=Fraction(n1, size))
 
 
 def complement(S: VertexSet) -> VertexSet:

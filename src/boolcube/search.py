@@ -2,6 +2,7 @@
 and exhaustive / backtracking discovery of perfect 2-colorings at small n."""
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,14 +14,18 @@ from .cube_core import (VertexSet, _check_dimension, _check_vertex,
 from .coloring import ParameterMatrix, _all_subsets, check_perfect
 
 
+class Infeasible(ValueError):
+    """No perfect coloring has the target (b, c) in this dimension."""
+
+
 @dataclass(frozen=True)
 class Construction:
     kind: str  # "affine" | "hamming" | "half_cube"
     n: Optional[int] = None
-    v: Optional[str] = None   # affine: the defining vector
-    eps: int = 0              # affine: the constant term
-    m: Optional[int] = None   # hamming: n = 2^m - 1
-    coord: int = 1            # half_cube: the pinned coordinate
+    v: Optional[str] = None      # affine: the defining vector
+    eps: Optional[int] = None    # affine: the constant term
+    m: Optional[int] = None      # hamming: n = 2^m - 1
+    coord: Optional[int] = None  # half_cube: the pinned coordinate
 
 
 def _odd_parity_mask(n: int, v: int) -> int:
@@ -73,18 +78,21 @@ def half_cube(n: int, coord: int = 1) -> VertexSet:
 
 
 def construct(c: Construction) -> VertexSet:
-    required = {"hamming": ("m",), "affine": ("n", "v"), "half_cube": ("n",)}
-    for name in required.get(c.kind, ()):
-        if getattr(c, name) is None:
-            raise ValueError("the %s construction needs %s" % (c.kind, name))
-    if c.kind == "hamming":
-        S = hamming_code(c.m)
-    elif c.kind == "affine":
-        S = affine_coloring(c.n, c.v, c.eps)
-    elif c.kind == "half_cube":
-        S = half_cube(c.n, c.coord)
-    else:
+    """Call the kind's builder; its signature names the kind's parameters,
+    which of them are required, and the defaults of the rest."""
+    build = {"hamming": hamming_code, "affine": affine_coloring,
+             "half_cube": half_cube}.get(c.kind)
+    if build is None:
         raise ValueError("unknown construction kind %r" % (c.kind,))
+    params = inspect.signature(build).parameters
+    given = {k: v for k, v in vars(c).items() if v is not None and k != "kind"}
+    for name in given:
+        if name not in params:
+            raise ValueError("the %s construction takes no %s" % (c.kind, name))
+    for name, p in params.items():
+        if name not in given and p.default is p.empty:
+            raise ValueError("the %s construction needs %s" % (c.kind, name))
+    S = build(**given)
     assert check_perfect(S).is_perfect
     return S
 
@@ -163,7 +171,9 @@ def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
                       canonical: bool = False) -> SearchResult:
     """Brute force over all 2^(2^n) subsets with the exhaustive engine that
     `sweep` also runs; every hit certified by the direct per-vertex scan."""
-    _, _, perfect, bs, cs, _ = _all_subsets(n)
+    _, _, perfect, bs, cs, _ = _all_subsets(n)  # checks n first
+    if target is not None:
+        _check_feasible(n, target)
     found = []
     for mask in np.flatnonzero(perfect).tolist():
         b, c = int(bs[mask]), int(cs[mask])
@@ -179,18 +189,20 @@ def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
 
 
 def _check_feasible(n: int, target: ParameterMatrix) -> int:
+    """|S| of a (b, c) coloring of E^n; `Infeasible` when there is none."""
+    if target.n != n:
+        raise ValueError("target.n=%r differs from n=%r" % (target.n, n))
     b, c = target.b, target.c
     if not (1 <= b <= n and 1 <= c <= n):  # the cube is connected
-        raise ValueError("parameters b=%r c=%r out of range [1, %d]: a "
+        raise Infeasible("parameters b=%r c=%r out of range [1, %d]: a "
                          "non-constant perfect coloring has b, c >= 1"
                          % (b, c, n))
     if (b + c) % 2:
-        raise ValueError("b + c must be even (b=%d, c=%d)" % (b, c))
-    total = 1 << n
-    if (c * total) % (b + c):
-        raise ValueError("no integer |S| satisfies b|S| = c(2^n - |S|) "
+        raise Infeasible("b + c must be even (b=%d, c=%d)" % (b, c))
+    if (c << n) % (b + c):
+        raise Infeasible("no integer |S| satisfies b|S| = c(2^n - |S|) "
                          "for b=%d c=%d n=%d" % (b, c, n))
-    return (c * total) // (b + c)
+    return (c << n) // (b + c)
 
 
 DEFAULT_BUDGET = 10 ** 7  # nodes; also the CLI's --budget default
@@ -224,6 +236,8 @@ def backtrack_search(n: int, target: ParameterMatrix,
     _check_dimension(n)
     if max_results is not None and max_results < 1:
         raise ValueError("max_results must be >= 1, got %r" % (max_results,))
+    if budget < 0:
+        raise ValueError("budget must be >= 0, got %r" % (budget,))
     s_target = _check_feasible(n, target)
     size = 1 << n
     need = (target.c, n - target.b)  # required in-S neighbors, by color

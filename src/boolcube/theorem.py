@@ -5,10 +5,10 @@
 with equality exactly on perfect 2-colorings, plus the two prior bounds
 (Fon-Der-Flaass; Bierbrauer-Friedman) and the perfect-code rigidity check.
 
-`verify` decides the inequality in exact `Fraction`s; the two bounds are
-decided in integer-cleared form (multiplied through by 2^n and by 2(cor+1)),
-by helpers that take ints or numpy arrays, so that `verify`, `fdf_bound`,
-`bf_bound` and `sweep` share them.  No floating point anywhere.
+The inequality and both bounds are decided in integer-cleared form (times
+|S| 2^n; times 2^n and 2(cor+1)), by helpers that take ints or numpy arrays,
+so that `verify`, `fdf_bound`, `bf_bound` and `sweep` share them; `verify`
+reports exact `Fraction`s.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import VertexSet, _cube_stats, complement
+from .cube_core import VertexSet, complement
 from .spectral import cor_order, transform
 from .macwilliams import DualDistribution, macwilliams_from_spectrum
 from .coloring import ParameterMatrix, _all_subsets, _scan, is_perfect_code
@@ -61,27 +61,31 @@ def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
     bounds off (n, rho, cor); N_1 and the perfect verdict come from the
     per-vertex in-S neighbour counts."""
     T, swapped = _normalize(S, allow_complement)
+    n, size = T.n, T.size
     n1, verdict = _scan(T)
-    st = _cube_stats(T.n, T.size, n1)
     dual = macwilliams_from_spectrum(transform(T))
     cor = dual.support[1] - 1
-    lhs = st.nei + 2 * (cor + 1) * (1 - st.density)
-    slack = T.n - lhs
+    slack = Fraction(_slack_num(n, size, n1, cor), size << n)
     return TheoremReport(
-        n=T.n,
-        size=st.size,
-        rho=st.density,
+        n=n,
+        size=size,
+        rho=Fraction(size, 1 << n),
         cor=cor,
-        nei=st.nei,
-        lhs=lhs,
+        nei=Fraction(n1, size),
+        lhs=n - slack,
         slack=slack,
         is_perfect=verdict.is_perfect,
         matrix=verdict.matrix,
-        fdf_bound_ok=_fdf_ok(T.n, st.size, cor),
-        bf_bound_ok=_bf_margin(T.n, st.size, cor) >= 0,
+        fdf_bound_ok=_fdf_ok(n, size, cor),
+        bf_bound_ok=_bf_margin(n, size, cor) >= 0,
         complemented=swapped,
         dual=dual,
     )
+
+
+def _slack_num(n: int, size, n1, cor):
+    """The slack, n - N_1/|S| - 2(cor+1)(1 - rho), times |S| 2^n."""
+    return size * _bf_margin(n, size, cor) - (n1 << n)
 
 
 def _fdf_ok(n: int, size, cor):
@@ -148,13 +152,10 @@ def sweep(n: int) -> SweepSummary:
 
     # complement when rho > 1/2 (cor is complement-invariant; perfect too)
     eff = np.where(2 * s > size, masks ^ (len(s) - 1), masks)
-    s_e, n1_e, perf_e = s[eff], n1[eff], perfect[eff]
-
-    # slack * |S| * 2^n = n*s*2^n - N1*2^n - 2(cor+1) s (2^n - s)
-    slack_int = n * s_e * size - n1_e * size - 2 * (cor + 1) * s_e * (size - s_e)
+    slack_int = _slack_num(n, s[eff], n1[eff], cor)
 
     ok_a = slack_int >= 0
-    ok_b = (slack_int == 0) == perf_e
+    ok_b = (slack_int == 0) == perfect[eff]
     bf = _bf_margin(n, s, cor)
     bf_eq = nonconst & (bf == 0)
     ok_bf_eq = ~bf_eq | perfect

@@ -136,6 +136,30 @@ def test_construct_invalid_exit2(capsys):
         assert err == "invalid parameters: %s\n" % message
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["hamming", "--m", "2", "--n", "9", "--v", "1", "--coord", "7"],
+     "the hamming construction takes no n"),
+    (["affine", "--n", "3", "--v", "110", "--coord", "1"],
+     "the affine construction takes no coord"),
+    (["half-cube", "--n", "2", "--m", "40", "--eps", "1"],
+     "the half_cube construction takes no eps"),
+])
+def test_construct_rejects_another_kinds_parameter_exit2(capsys, argv,
+                                                         message):
+    code, out, err = run_cli(capsys, ["construct"] + argv)
+    assert (code, out, err) == (2, "", "invalid parameters: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["affine", "--n", "3", "--v", "110"], ["--eps", "0"]),
+    (["half-cube", "--n", "3"], ["--coord", "1"]),
+])
+def test_construct_defaults_match_the_explicit_flag(capsys, argv, default):
+    code, out, _ = run_cli(capsys, ["construct"] + argv)
+    assert code == 0
+    assert run_cli(capsys, ["construct"] + argv + default) == (0, out, "")
+
+
 def test_search_n2(capsys):
     code, out, _ = run_cli(capsys, ["search", "--n", "2", "--b", "2",
                                     "--c", "2", "--exhaustive"])
@@ -178,6 +202,20 @@ def test_search_trace_leaves_stdout_unchanged(capsys, argv):
 def test_search_infeasible_exit4(capsys):
     assert run_cli(capsys, ["search", "--n", "3", "--b", "1",
                             "--c", "2"])[0] == 4
+
+
+@pytest.mark.parametrize("n,b,c", [
+    (3, 1, 2),  # b + c odd
+    (3, 0, 2),  # b out of range
+    (3, 5, 5),  # b and c out of range
+    (4, 2, 4),  # no integer |S|
+])
+def test_search_infeasible_same_on_both_routes_exit4(capsys, n, b, c):
+    argv = ["search", "--n", str(n), "--b", str(b), "--c", str(c)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.startswith("infeasible parameters: ")
+    assert run_cli(capsys, argv + ["--exhaustive"]) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,12 +1,13 @@
 import gc
 import hashlib
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolcube import (Construction, ParameterMatrix, VertexSet,
+from boolcube import (Construction, Infeasible, ParameterMatrix, VertexSet,
                       affine_coloring, backtrack_search, check_perfect,
                       construct, cor_from_matrix, cor_order,
                       enumerate_perfect, half_cube, hamming_code, make_set,
@@ -117,6 +118,27 @@ def test_construct_dispatch():
             construct(c)
 
 
+@pytest.mark.parametrize("c,name", [
+    (Construction("hamming", m=2, n=9, v="1", coord=7), "n"),
+    (Construction("hamming", m=3, eps=0), "eps"),
+    (Construction("affine", n=3, v="110", m=2), "m"),
+    (Construction("affine", n=3, v="110", coord=1), "coord"),
+    (Construction("half_cube", n=3, v="110"), "v"),
+    (Construction("half_cube", n=2, m=40, eps=1), "eps"),
+])
+def test_construct_rejects_another_kinds_parameter(c, name):
+    with pytest.raises(ValueError, match="^the %s construction takes no %s$"
+                       % (c.kind, name)):
+        construct(c)
+
+
+def test_construct_defaults_come_from_the_builders():
+    assert construct(Construction("affine", n=3, v="110")).mask == \
+        affine_coloring(3, "110", 0).mask
+    assert construct(Construction("half_cube", n=3)).mask == \
+        half_cube(3, 1).mask
+
+
 def test_enumerate_n2_antipodal():
     r = enumerate_perfect(2, ParameterMatrix(2, 2, 2))
     assert r.exhaustive
@@ -192,6 +214,39 @@ def test_backtrack_infeasible_rejected():
         backtrack_search(3, ParameterMatrix(3, 0, 0))
     with pytest.raises(ValueError):
         backtrack_search(2, ParameterMatrix(2, 4, 2))  # no integer |S|
+
+
+@pytest.mark.parametrize("search", [backtrack_search, enumerate_perfect])
+def test_engines_reject_a_target_of_another_dimension(search):
+    with pytest.raises(ValueError, match=re.escape("target.n=5 differs")) as e:
+        search(3, ParameterMatrix(5, 2, 2))
+    assert not isinstance(e.value, Infeasible)
+
+
+@pytest.mark.parametrize("search", [backtrack_search, enumerate_perfect])
+def test_engines_raise_infeasible_with_the_same_message(search):
+    with pytest.raises(Infeasible, match=re.escape("no integer |S|")):
+        search(4, ParameterMatrix(4, 2, 4))
+
+
+def _outcome(search, n, target):
+    """The sorted masks found by a complete search, or what it raised."""
+    try:
+        r = search(n, target)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert r.exhaustive
+    return sorted(S.mask for S in r.found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(-1, n + 1), st.integers(-1, n + 1))))
+def test_engines_agree_on_every_target(args):
+    n, b, c = args
+    target = ParameterMatrix(n, b, c)
+    assert _outcome(backtrack_search, n, target) == \
+        _outcome(enumerate_perfect, n, target)
 
 
 def test_backtrack_matches_enumerate_n_le_3():
@@ -305,6 +360,11 @@ def test_backtrack_leaves_no_cyclic_garbage():
 def test_backtrack_rejects_non_positive_max_results(max_results):
     with pytest.raises(ValueError, match="max_results"):
         backtrack_search(3, ParameterMatrix(3, 2, 2), max_results=max_results)
+
+
+def test_backtrack_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        backtrack_search(3, ParameterMatrix(3, 2, 2), budget=-1)
 
 
 @pytest.mark.parametrize("kwargs,reason", [
