@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from . import __version__
 from .cube_core import VertexSet, _check_dimension, make_set
-from .macwilliams import inverse_macwilliams
 from .coloring import ParameterMatrix
 from .theorem import sweep, verify
 from .search import (DEFAULT_BUDGET, Construction, Infeasible,
@@ -78,11 +77,10 @@ def serialize_document(S: VertexSet, as_mask: bool = False) -> dict:
 def build_report(S: VertexSet, allow_complement: bool = True) -> dict:
     """Full analysis of one set; all rationals as "p/q" in lowest terms.
 
-    Formats `verify`'s result: N is recovered exactly from its dual D.
+    Formats `verify`'s result: D and N, recovered exactly from D.
     """
     rep = verify(S, allow_complement=allow_complement)
-    dual = rep.dual
-    dist = inverse_macwilliams(dual)
+    dual, dist = rep.dual, rep.distances
     return {
         "version": __version__,
         "n": rep.n,

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import VertexSet, _membership_array, index_to_vertex
+from .macwilliams import krawtchouk
 from .spectral import _butterfly, _pair_levels, transform, weight_table
 
 
@@ -53,23 +54,16 @@ def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_perfect(S: VertexSet) -> ColoringVerdict:
-    """Direct per-vertex scan; the ground-truth decider.
+    """Direct per-vertex scan; the ground-truth decider that `construct`,
+    both search engines and `is_perfect_code` certify with.
 
     The witness, when regularity fails, is the smallest-index vertex whose
     in-S neighbor count differs from the count of the smallest-index vertex
     of the same color.
     """
-    size = S.size
-    if size == 0 or size == (1 << S.n):
+    if S.size == 0 or S.size == (1 << S.n):
         raise ValueError("constant colorings have no parameter matrix")
-    return _scan(S)[1]
-
-
-def _scan(S: VertexSet) -> tuple[int, ColoringVerdict]:
-    """One neighbour scan of a non-constant S: N_1, the number of ordered
-    pairs of S-elements at distance 1, and the `check_perfect` verdict."""
     arr, cnt = _neighbor_counts(S)
-    n1 = int((cnt * arr).sum(dtype=np.int64))  # cnt <= n: exact in uint8
     ref_in = cnt[np.argmax(arr)]
     ref_out = cnt[np.argmin(arr)]
     t = arr * (ref_in ^ ref_out)  # the reference of each vertex's color
@@ -77,10 +71,10 @@ def _scan(S: VertexSet) -> tuple[int, ColoringVerdict]:
     t ^= cnt  # nonzero exactly at the vertices that break regularity
     if t.any():
         w = int(np.argmax(t != 0))
-        return n1, ColoringVerdict(False, None,
-                                   (index_to_vertex(w, S.n), int(cnt[w])))
-    matrix = ParameterMatrix(S.n, b=S.n - int(ref_in), c=int(ref_out))
-    return n1, ColoringVerdict(True, matrix, None)
+        return ColoringVerdict(False, None,
+                               (index_to_vertex(w, S.n), int(cnt[w])))
+    return ColoringVerdict(True, ParameterMatrix(S.n, b=S.n - int(ref_in),
+                                                 c=int(ref_out)), None)
 
 
 ENUMERATE_N_MAX = 4  # _all_subsets holds 2^n x 2^(2^n) tables
@@ -99,7 +93,8 @@ def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
     vertex-major table member[u, m] = (m >> u) & 1, whose column m is the
     set with mask m.  Returns read-only vectors indexed by mask: |S|, N_1,
     the perfect verdict, b and c (where perfect), all from the in-S
-    neighbour counts, and cor (where non-constant) from the spectra alone."""
+    neighbour counts; then cor (where non-constant) and N_1 from the spectra
+    alone, N_1 2^n = sum_u P_1(wt u) spec[u]^2 (-1 if that is not whole)."""
     _check_enumerable(n)
     size, nmasks = 1 << n, 1 << (1 << n)
     masks = np.arange(nmasks)
@@ -119,9 +114,14 @@ def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
                & (cnt == np.where(member, n - b, c)).all(axis=0))
     wt = weight_table(n)[:, None]
     cor = np.where((spec != 0) & (wt > 0), wt, n + 1).min(axis=0) - 1
-    for v in (s, n1, perfect, b, c, cor):
+    p1 = krawtchouk(n)[1]
+    acc = np.zeros(nmasks, dtype=np.int32)  # |spec| <= 2^n: exact at n <= 4
+    for u in range(size):  # one row at a time: no 2^n x nmasks temporary
+        acc += p1[wt[u, 0]] * spec[u] * spec[u]
+    n1_spec = np.where(acc % size == 0, acc >> n, -1)
+    for v in (s, n1, perfect, b, c, cor, n1_spec):
         v.setflags(write=False)
-    return s, n1, perfect, b, c, cor
+    return s, n1, perfect, b, c, cor, n1_spec
 
 
 def cor_from_matrix(m: ParameterMatrix) -> int:

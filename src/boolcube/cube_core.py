@@ -141,8 +141,8 @@ def distance_one_pairs(S: VertexSet) -> int:
 
 
 def stats(S: VertexSet) -> CubeStats:
-    """From big-int shifts of the mask; `theorem.verify` takes N_1 from its
-    neighbour scan instead, and this stays as the cross-check route."""
+    """From big-int shifts of the mask; `theorem.verify` takes N_1 from the
+    dual distribution instead, and this stays as the cross-check route."""
     size = S.size
     if size == 0:
         raise ValueError("stats undefined for the empty set")

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import (VertexSet, _check_dimension, _check_vertex,
+from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
                         _low_bit_pattern, _membership_array, _pack,
                         complement, vertex_index)
 from .coloring import ParameterMatrix, _all_subsets, check_perfect
@@ -44,6 +44,9 @@ def hamming_code(m: int) -> VertexSet:
     the binary expansions of 1..n, n = 2^m - 1."""
     if m < 2:
         raise ValueError("hamming construction needs m >= 2")
+    if m > N_MAX.bit_length():  # then 2^m - 1 > N_MAX: bound m before 2^m
+        raise ValueError("hamming construction: m=%d gives dimension "
+                         "2^m - 1 > %d" % (m, N_MAX))
     n = (1 << m) - 1
     _check_dimension(n)
     # Bit p of an index (from the LSB) is coordinate n - p, whose column is
@@ -171,7 +174,7 @@ def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
                       canonical: bool = False) -> SearchResult:
     """Brute force over all 2^(2^n) subsets with the exhaustive engine that
     `sweep` also runs; every hit certified by the direct per-vertex scan."""
-    _, _, perfect, bs, cs, _ = _all_subsets(n)  # checks n first
+    perfect, bs, cs = _all_subsets(n)[2:5]  # checks n first
     if target is not None:
         _check_feasible(n, target)
     found = []

@@ -5,6 +5,11 @@
 with equality exactly on perfect 2-colorings, plus the two prior bounds
 (Fon-Der-Flaass; Bierbrauer-Friedman) and the perfect-code rigidity check.
 
+The analysis is the paper's proof: for the MacWilliams dual D, the P_1 row
+of the inverse transform, N_1 2^n = sum_k (n - 2k) D_k, and Parseval give
+slack |S| 2^n = 2 sum_{k >= 1} (k - cor - 1) D_k, whose terms are >= 0 and
+all 0 exactly when D lives on {0, cor + 1}: the perfect colorings.
+
 The inequality and both bounds are decided in integer-cleared form (times
 |S| 2^n; times 2^n and 2(cor+1)), by helpers that take ints or numpy arrays,
 so that `verify`, `fdf_bound`, `bf_bound` and `sweep` share them; `verify`
@@ -20,8 +25,9 @@ import numpy as np
 
 from .cube_core import VertexSet, complement
 from .spectral import cor_order, transform
-from .macwilliams import DualDistribution, macwilliams_from_spectrum
-from .coloring import ParameterMatrix, _all_subsets, _scan, is_perfect_code
+from .macwilliams import (DistanceDistribution, DualDistribution,
+                          inverse_macwilliams, macwilliams_from_spectrum)
+from .coloring import ParameterMatrix, _all_subsets, is_perfect_code
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,7 @@ class TheoremReport:
     bf_bound_ok: bool
     complemented: bool
     dual: DualDistribution  # of the analysed set (the complement if swapped)
+    distances: DistanceDistribution  # N, the inverse MacWilliams of dual
 
 
 def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, bool]:
@@ -56,16 +63,21 @@ def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, bool]:
 
 
 def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
-    """The whole analysis from one transform and one neighbour scan: cor is
-    read off the support of the dual distribution D (D_0 = |S|^2 > 0), the
-    bounds off (n, rho, cor); N_1 and the perfect verdict come from the
-    per-vertex in-S neighbour counts."""
+    """The whole analysis from one transform, read off the dual distribution
+    D of the analysed set T: cor from its support (D_0 = |T|^2 > 0), N_1 from
+    its P_1 row, the bounds from (n, rho, cor).  T is perfect iff D lives on
+    {0, k}; then b + c = 2k and rho = c/(b + c).  No neighbour scan runs:
+    the scan `check_perfect` is the ground truth the tests compare with."""
     T, swapped = _normalize(S, allow_complement)
     n, size = T.n, T.size
-    n1, verdict = _scan(T)
     dual = macwilliams_from_spectrum(transform(T))
+    distances = inverse_macwilliams(dual)
+    n1 = distances.counts[1]
     cor = dual.support[1] - 1
     slack = Fraction(_slack_num(n, size, n1, cor), size << n)
+    k, perfect = cor + 1, len(dual.support) == 2
+    c = (2 * k * size) >> n  # whole when perfect
+    matrix = ParameterMatrix(n, 2 * k - c, c) if perfect else None
     return TheoremReport(
         n=n,
         size=size,
@@ -74,12 +86,13 @@ def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
         nei=Fraction(n1, size),
         lhs=n - slack,
         slack=slack,
-        is_perfect=verdict.is_perfect,
-        matrix=verdict.matrix,
+        is_perfect=perfect,
+        matrix=matrix,
         fdf_bound_ok=_fdf_ok(n, size, cor),
         bf_bound_ok=_bf_margin(n, size, cor) >= 0,
         complemented=swapped,
         dual=dual,
+        distances=distances,
     )
 
 
@@ -142,11 +155,12 @@ def sweep(n: int) -> SweepSummary:
     read off the exhaustive engine `_all_subsets(n)`.  For each subset
     (complemented when rho > 1/2) it checks in exact integer arithmetic:
     slack >= 0, slack = 0 iff the neighbour counts give a perfect coloring,
-    both prior bounds, and that every Bierbrauer-Friedman equality case is
-    perfect.  The routes are independent: cor comes from the Walsh spectra,
-    N_1 and the perfect verdict from the counts."""
+    the same slack from the spectral N_1 as from the counted one, both prior
+    bounds, and that every Bierbrauer-Friedman equality case is perfect.
+    cor and one N_1 come from the Walsh spectra, the other N_1 and the
+    perfect verdict from the counts."""
     size = 1 << n
-    s, n1, perfect, _, _, cor = _all_subsets(n)
+    s, n1, perfect, _, _, cor, n1_spec = _all_subsets(n)
     masks = np.arange(len(s))
     nonconst = (s > 0) & (s < size)
 
@@ -156,11 +170,13 @@ def sweep(n: int) -> SweepSummary:
 
     ok_a = slack_int >= 0
     ok_b = (slack_int == 0) == perfect[eff]
+    ok_spec = _slack_num(n, s[eff], n1_spec[eff], cor) == slack_int
     bf = _bf_margin(n, s, cor)
     bf_eq = nonconst & (bf == 0)
     ok_bf_eq = ~bf_eq | perfect
 
-    bad = nonconst & ~(ok_a & ok_b & _fdf_ok(n, s, cor) & (bf >= 0) & ok_bf_eq)
+    bad = nonconst & ~(ok_a & ok_b & ok_spec & _fdf_ok(n, s, cor)
+                       & (bf >= 0) & ok_bf_eq)
     return SweepSummary(
         n=n,
         checked=int(nonconst.sum()),

@@ -130,7 +130,8 @@ def test_construct_invalid_exit2(capsys):
         (["half-cube"], "the half_cube construction needs n"),
         (["affine", "--v", "110"], "the affine construction needs n"),
         (["affine", "--n", "3"], "the affine construction needs v"),
-    ]:
+    ] + [(["hamming", "--m", str(m)], "hamming construction: m=%d gives "
+          "dimension 2^m - 1 > 24" % m) for m in (6, 100, 100_000)]:
         code, out, err = run_cli(capsys, ["construct"] + argv)
         assert code == 2 and out == ""
         assert err == "invalid parameters: %s\n" % message

@@ -163,14 +163,15 @@ def test_complement_duality():
 
 
 def _check_engine_against_per_set_routes(n, masks):
-    size, n1, perfect, b, c, cor = _all_subsets(n)
+    size, n1, perfect, b, c, cor, n1_spec = _all_subsets(n)
     for mask in masks:
         S = VertexSet(n, mask)
         assert size[mask] == S.size
         if S.size == 0:
-            assert n1[mask] == 0 and not perfect[mask]
+            assert n1[mask] == n1_spec[mask] == 0 and not perfect[mask]
             continue
         assert n1[mask] == stats(S).neighbor_sum - S.size
+        assert n1_spec[mask] == n1[mask]
         if S.size == 1 << n:
             assert not perfect[mask]
             continue

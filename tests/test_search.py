@@ -113,7 +113,8 @@ def test_construct_dispatch():
         (Construction("half_cube"), "the half_cube construction needs n"),
         (Construction("affine", v="110"), "the affine construction needs n"),
         (Construction("affine", n=3), "the affine construction needs v"),
-    ]:
+    ] + [(Construction("hamming", m=m), r"^hamming construction: m=%d gives "
+          r"dimension 2\^m - 1 > 24$" % m) for m in (6, 100, 100_000)]:
         with pytest.raises(ValueError, match=message):
             construct(c)
 
