@@ -19,7 +19,7 @@ import numpy as np
 
 from .cube_core import VertexSet, _membership_array, index_to_vertex
 from .macwilliams import krawtchouk
-from .spectral import _butterfly, _pair_levels, transform, weight_table
+from .spectral import _butterfly, _pair_levels
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
     c = cnt[member.argmin(axis=0), masks].astype(np.int64)
     perfect = ((s > 0) & (s < size)
                & (cnt == np.where(member, n - b, c)).all(axis=0))
-    wt = weight_table(n)[:, None]
+    # the weight of row u, widened: bitwise_count returns uint8
+    wt = np.bitwise_count(np.arange(size)).astype(np.int64)[:, None]
     cor = np.where((spec != 0) & (wt > 0), wt, n + 1).min(axis=0) - 1
     p1 = krawtchouk(n)[1]
     acc = np.zeros(nmasks, dtype=np.int32)  # |spec| <= 2^n: exact at n <= 4
@@ -130,15 +131,6 @@ def cor_from_matrix(m: ParameterMatrix) -> int:
     if bc < 2 or bc % 2:
         raise ValueError("invalid parameter pair b=%d c=%d" % (m.b, m.c))
     return bc // 2 - 1
-
-
-def spectral_support(S: VertexSet) -> set[int]:
-    """Weights carrying nonzero Walsh coefficients; {0, k} iff S is perfect."""
-    if S.size == 0 or S.size == (1 << S.n):
-        raise ValueError("spectral support check rejects constant colorings")
-    sp = transform(S)
-    wt = weight_table(S.n)
-    return {int(w) for w in np.unique(wt[sp.coeffs != 0])}
 
 
 def is_perfect_code(S: VertexSet) -> bool:

@@ -1,9 +1,8 @@
-"""Boolean n-cube fundamentals: vertex indexing, bitset sets, and the basic
-density / neighbor-count statistics."""
+"""Boolean n-cube fundamentals: vertex indexing and subsets of E^n as
+bitset masks, with their membership table and complement."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -77,14 +76,6 @@ def _pack(member: np.ndarray) -> int:
                           "little")
 
 
-@dataclass(frozen=True)
-class CubeStats:
-    size: int
-    density: Fraction
-    neighbor_sum: int
-    nei: Fraction
-
-
 def make_set(n: int, vertices) -> VertexSet:
     """S from an iterable of vertex strings; duplicates collapse.
 
@@ -115,11 +106,6 @@ def make_set(n: int, vertices) -> VertexSet:
     return VertexSet(n, mask)
 
 
-def full_set(n: int) -> VertexSet:
-    _check_dimension(n)
-    return VertexSet(n, (1 << (1 << n)) - 1)
-
-
 def _low_bit_pattern(n: int, k: int) -> int:
     """Bitmask over 2^n positions selecting indices whose bit k is 0."""
     p = (1 << (1 << k)) - 1
@@ -129,26 +115,6 @@ def _low_bit_pattern(n: int, k: int) -> int:
         p |= p << span
         span <<= 1
     return p
-
-
-def distance_one_pairs(S: VertexSet) -> int:
-    """N_1: ordered pairs of S-elements at Hamming distance 1."""
-    pairs = 0
-    for k in range(S.n):
-        p = _low_bit_pattern(S.n, k)
-        pairs += (S.mask & (S.mask >> (1 << k)) & p).bit_count()
-    return 2 * pairs
-
-
-def stats(S: VertexSet) -> CubeStats:
-    """From big-int shifts of the mask; `theorem.verify` takes N_1 from the
-    dual distribution instead, and this stays as the cross-check route."""
-    size = S.size
-    if size == 0:
-        raise ValueError("stats undefined for the empty set")
-    n1 = distance_one_pairs(S)
-    return CubeStats(size=size, density=Fraction(size, 1 << S.n),
-                     neighbor_sum=size + n1, nei=Fraction(n1, size))
 
 
 def complement(S: VertexSet) -> VertexSet:

@@ -5,10 +5,11 @@ Integer carriers: N_i are ordered pair counts, D_k are per-weight sums of
 squared Walsh coefficients.  The rationals B_i = N_i/|S| and B'_k = D_k/|S|^2
 are derived on demand.
 
-An analysis (`theorem.verify` and the report) takes the spectral route only:
+An analysis (`theorem.verify` and the report) takes the spectral route:
 D = `macwilliams_from_spectrum` of its one transform, N = `inverse_macwilliams`
-of D.  The cross-check routes, compared with it in the tests, are the pairwise
-scan of `distance_distribution` and the Krawtchouk `macwilliams_from_distances`.
+of D.  The cross-check route, compared with it in the tests, is the pairwise
+scan `distance_distribution` followed by the Krawtchouk
+`macwilliams_from_distances`.
 """
 from __future__ import annotations
 
@@ -20,9 +21,7 @@ from math import comb
 import numpy as np
 
 from .cube_core import VertexSet
-from .spectral import Spectrum, _weight_classes, transform
-
-PAIRWISE_LIMIT = 1 << 12  # |S| above this uses the spectral route
+from .spectral import Spectrum, _weight_classes
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,19 @@ def krawtchouk(n: int) -> tuple:
     )
 
 
-def _pairwise_counts(members: list[int], n: int) -> tuple:
-    idxs = np.asarray(members, dtype=np.int64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, len(idxs)))
-    for lo in range(0, len(idxs), chunk):
-        d = np.bitwise_count(idxs[lo:lo + chunk, None] ^ idxs[None, :])
-        counts += np.bincount(d.ravel(), minlength=n + 1)[:n + 1]
-    return tuple(int(c) for c in counts)
-
-
 def distance_distribution(S: VertexSet) -> DistanceDistribution:
-    """Exact ordered-pair counts N_i; pairwise scan for small S, spectral
-    route for large S (both routes agree wherever both run)."""
+    """Exact ordered-pair counts N_i by a pairwise scan of the members: the
+    cross-check route, O(|S|^2) time, in chunks of about 2^22 pairs."""
     size = S.size
     if size == 0:
         raise ValueError("distance distribution undefined for the empty set")
-    if size > PAIRWISE_LIMIT:
-        return inverse_macwilliams(macwilliams_from_spectrum(transform(S)))
-    return DistanceDistribution(S.n, size,
-                                _pairwise_counts(S.member_indices(), S.n))
+    idxs = np.asarray(S.member_indices(), dtype=np.int64)
+    counts = np.zeros(S.n + 1, dtype=np.int64)
+    chunk = max(1, (1 << 22) // size)
+    for lo in range(0, size, chunk):
+        d = np.bitwise_count(idxs[lo:lo + chunk, None] ^ idxs[None, :])
+        counts += np.bincount(d.ravel(), minlength=S.n + 1)[:S.n + 1]
+    return DistanceDistribution(S.n, size, tuple(int(c) for c in counts))
 
 
 def macwilliams_from_spectrum(sp: Spectrum) -> DualDistribution:

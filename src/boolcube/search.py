@@ -11,7 +11,9 @@ import numpy as np
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
                         _low_bit_pattern, _membership_array, _pack,
                         complement, vertex_index)
-from .coloring import ParameterMatrix, _all_subsets, check_perfect
+from .coloring import (ParameterMatrix, _all_subsets, check_perfect,
+                       cor_from_matrix)
+from .theorem import _fdf_ok
 
 
 class Infeasible(ValueError):
@@ -205,7 +207,12 @@ def _check_feasible(n: int, target: ParameterMatrix) -> int:
     if (c << n) % (b + c):
         raise Infeasible("no integer |S| satisfies b|S| = c(2^n - |S|) "
                          "for b=%d c=%d n=%d" % (b, c, n))
-    return (c << n) // (b + c)
+    size, cor = (c << n) // (b + c), cor_from_matrix(target)
+    if not _fdf_ok(n, size, cor):
+        raise Infeasible("Fon-Der-Flaass: an unbalanced coloring has "
+                         "3(cor+1) <= 2n, but b=%d c=%d gives cor=%d in "
+                         "dimension %d" % (b, c, cor, n))
+    return size
 
 
 DEFAULT_BUDGET = 10 ** 7  # nodes; also the CLI's --budget default

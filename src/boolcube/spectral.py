@@ -28,15 +28,6 @@ class Spectrum:
 
 
 @lru_cache(maxsize=None)
-def weight_table(n: int) -> np.ndarray:
-    """popcount of every index 0 .. 2^n-1, in int64 so that callers may
-    subtract from it."""
-    wt = np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-    wt.setflags(write=False)
-    return wt
-
-
-@lru_cache(maxsize=None)
 def _weight_classes(n: int) -> tuple[np.ndarray, tuple]:
     """Every index 0 .. 2^n-1 grouped by weight, as one int32 array, and the
     class boundaries: the weight-k indices are idx[bounds[k]:bounds[k + 1]]."""
@@ -114,13 +105,14 @@ def inverse_transform(sp: Spectrum):
 
 
 def cor_order(S: VertexSet) -> int:
-    """cor(S): one less than the minimum weight of a nonzero non-DC coefficient."""
+    """cor(S): one less than the first weight class k >= 1 that holds a
+    nonzero coefficient (one does, by Parseval, as S is not constant)."""
     if S.size == 0 or S.size == (1 << S.n):
         raise ValueError("correlation immunity undefined for constant functions")
-    sp = transform(S)
-    wt = weight_table(S.n)
-    nz = (sp.coeffs != 0) & (wt > 0)
-    return int(wt[nz].min()) - 1
+    coeffs = transform(S).coeffs
+    idx, bounds = _weight_classes(S.n)
+    return next(k - 1 for k in range(1, S.n + 1)
+                if coeffs[idx[bounds[k]:bounds[k + 1]]].any())
 
 
 def cor_order_direct(S: VertexSet, t: int) -> bool:

@@ -12,8 +12,8 @@ all 0 exactly when D lives on {0, cor + 1}: the perfect colorings.
 
 The inequality and both bounds are decided in integer-cleared form (times
 |S| 2^n; times 2^n and 2(cor+1)), by helpers that take ints or numpy arrays,
-so that `verify`, `fdf_bound`, `bf_bound` and `sweep` share them; `verify`
-reports exact `Fraction`s.  No floating point anywhere.
+so that `verify`, `sweep` and the feasibility rules of `search` share them;
+`verify` reports exact `Fraction`s.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -111,16 +111,6 @@ def _bf_margin(n: int, size, cor):
     """rho >= 1 - n / (2(cor+1)) times 2^n * 2(cor+1), as a difference:
     >= 0 where the bound holds, 0 at equality."""
     return n * (1 << n) - 2 * (cor + 1) * ((1 << n) - size)
-
-
-def fdf_bound(S: VertexSet) -> bool:
-    """Fon-Der-Flaass: cor <= 2n/3 - 1 unless S is balanced."""
-    return _fdf_ok(S.n, S.size, cor_order(S))
-
-
-def bf_bound(S: VertexSet) -> bool:
-    """Bierbrauer-Friedman: rho >= 1 - n / (2(cor+1))."""
-    return _bf_margin(S.n, S.size, cor_order(S)) >= 0
 
 
 def code_rigidity(S: VertexSet, reference_n: int) -> bool:

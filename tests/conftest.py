@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from boolcube import VertexSet, make_set
+from boolcube import VertexSet, distance_distribution, make_set
 
 # Codewords of the kernel of the parity-check matrix with columns 1..7,
 # computed once by the defining syndrome condition and frozen.
@@ -63,3 +63,15 @@ def membership(S: VertexSet) -> np.ndarray:
     raw = S.mask.to_bytes(((1 << S.n) + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          bitorder="little", count=1 << S.n)
+
+
+def n1_direct(T: VertexSet) -> int:
+    """N_1, the ordered pairs of T at distance 1: the pairwise
+    `distance_distribution` up to 4096 members (its O(|T|^2) scan), above
+    that one AND of the two halves of each bit's pairs of the membership
+    table.  The one test-side reference for nei = N_1/|T|."""
+    if T.size <= 1 << 12:
+        return distance_distribution(T).counts[1]
+    a = membership(T)
+    return sum(2 * int(np.count_nonzero(v[:, 0] & v[:, 1]))
+               for v in (a.reshape(-1, 2, 1 << k) for k in range(T.n)))

@@ -14,7 +14,7 @@ from boolcube import (ParameterMatrix, VertexSet, backtrack_search,
                       distance_distribution, enumerate_perfect, hamming_code,
                       inverse_macwilliams, inverse_transform,
                       macwilliams_from_distances, macwilliams_from_spectrum,
-                      spectral_support, sweep, transform, verify)
+                      sweep, transform, verify)
 
 from conftest import random_set
 
@@ -50,7 +50,7 @@ def test_criterion_2_hamming7_end_to_end():
     assert r.is_perfect
     assert (r.matrix.b, r.matrix.c) == (7, 1)
     assert r.matrix.rows == ((0, 7), (1, 6))
-    assert spectral_support(S) == {0, 4}
+    assert r.dual.support == (0, 4)
     dual = macwilliams_from_distances(distance_distribution(S))
     assert dual.Bprime == tuple(Fraction(x)
                                 for x in (1, 0, 0, 0, 7, 0, 0, 0))

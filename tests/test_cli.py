@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from boolcube import VertexSet, cli, spectral
-from boolcube.macwilliams import PAIRWISE_LIMIT
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
 
@@ -219,6 +218,14 @@ def test_search_infeasible_same_on_both_routes_exit4(capsys, n, b, c):
     assert run_cli(capsys, argv + ["--exhaustive"]) == (code, out, err)
 
 
+def test_search_fon_der_flaass_exit4(capsys):
+    # formerly spent its whole node budget and exited 0 with nothing found
+    code, out, err = run_cli(capsys, ["search", "--n", "11", "--b", "5",
+                                      "--c", "11"])
+    assert code == 4 and out == ""
+    assert "Fon-Der-Flaass" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--n", "25"], "dimension 25 out of range"),
     (["--n", "0"], "dimension 0 out of range"),
@@ -369,7 +376,7 @@ def test_search_zero_b_or_c_exit4(capsys, b, c):
 
 
 @pytest.mark.parametrize("size,complemented", [
-    (PAIRWISE_LIMIT + 1000, False),   # dense
+    (5096, False),                    # dense
     (100, False),                     # sparse
     (12000, True),                    # density > 1/2: complemented
 ])
@@ -394,11 +401,8 @@ def _assert_one_fwht(monkeypatch, n, size, complemented):
     fwht = spectral._fwht_inplace
     monkeypatch.setattr(spectral, "_fwht_inplace",
                         lambda a: calls.append(1) or fwht(a))
-    spectral.weight_table.cache_clear()
     rep = build_report(S)
     assert len(calls) == 1
-    # the int64 weight table (8 MB at n = 20) stays out of the report path
-    assert spectral.weight_table.cache_info().currsize == 0
     assert rep["complemented"] is complemented
     assert rep["size"] == min(size, (1 << n) - size)
 

@@ -7,14 +7,13 @@ import pytest
 
 from boolcube import (ParameterMatrix, VertexSet, affine_coloring,
                       check_perfect, complement, cor_from_matrix, cor_order,
-                      full_set, is_perfect_code, make_set, spectral_support,
-                      stats)
+                      is_perfect_code, make_set, verify)
 from boolcube.coloring import _all_subsets, _neighbor_counts
 from boolcube.search import enumerate_perfect
 from boolcube.theorem import sweep
 from boolcube.cube_core import index_to_vertex
 
-from conftest import membership, random_set
+from conftest import membership, n1_direct, random_set
 
 
 def test_check_perfect_parity(parity12_e3):
@@ -71,7 +70,7 @@ def test_check_perfect_rejects_constant():
     with pytest.raises(ValueError):
         check_perfect(make_set(3, []))
     with pytest.raises(ValueError):
-        check_perfect(full_set(3))
+        check_perfect(complement(VertexSet(3, 0)))
 
 
 def test_cor_from_matrix():
@@ -83,9 +82,9 @@ def test_cor_from_matrix():
 
 
 def test_spectral_support_examples(hamming7, parity12_e3):
-    assert spectral_support(hamming7) == {0, 4}
-    assert spectral_support(parity12_e3) == {0, 2}
-    assert spectral_support(make_set(3, ["000"])) == {0, 1, 2, 3}
+    assert verify(hamming7).dual.support == (0, 4)
+    assert verify(parity12_e3).dual.support == (0, 2)
+    assert verify(make_set(3, ["000"])).dual.support == (0, 1, 2, 3)
 
 
 def test_is_perfect_code(hamming7):
@@ -102,14 +101,15 @@ def test_characterization_agreement_exhaustive():
         for mask in range(1, (1 << (1 << n)) - 1):
             S = VertexSet(n, mask)
             assert check_perfect(S).is_perfect == \
-                (len(spectral_support(S)) <= 2)
+                (len(verify(S).dual.support) <= 2)
 
 
 def test_characterization_agreement_random_n4():
     rng = random.Random(5)
     for _ in range(300):
         S = random_set(rng, 4)
-        assert check_perfect(S).is_perfect == (len(spectral_support(S)) <= 2)
+        assert check_perfect(S).is_perfect == \
+            (len(verify(S).dual.support) <= 2)
 
 
 def test_matrix_cor_matches_spectral_cor():
@@ -127,10 +127,9 @@ def test_perfect_implies_edge_balance():
             S = VertexSet(n, mask)
             v = check_perfect(S)
             if v.is_perfect:
-                st = stats(S)
-                assert st.nei == n - v.matrix.b
-                assert st.density == Fraction(v.matrix.c,
-                                              v.matrix.b + v.matrix.c)
+                assert n1_direct(S) == (n - v.matrix.b) * S.size
+                assert Fraction(S.size, 1 << n) == \
+                    Fraction(v.matrix.c, v.matrix.b + v.matrix.c)
                 assert v.matrix.b * S.size == \
                     v.matrix.c * ((1 << n) - S.size)
 
@@ -170,7 +169,7 @@ def _check_engine_against_per_set_routes(n, masks):
         if S.size == 0:
             assert n1[mask] == n1_spec[mask] == 0 and not perfect[mask]
             continue
-        assert n1[mask] == stats(S).neighbor_sum - S.size
+        assert n1[mask] == n1_direct(S)
         assert n1_spec[mask] == n1[mask]
         if S.size == 1 << n:
             assert not perfect[mask]
@@ -210,3 +209,10 @@ def test_engine_vectors_are_read_only():
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_engine_vector_dtypes(n):
+    # a narrower cor (popcount is uint8) would print the same sweep summaries
+    assert [v.dtype for v in _all_subsets(n)] == \
+        [np.int64, np.int64, np.bool_, np.int64, np.int64, np.int64, np.int32]

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boolcube import VertexSet, complement, full_set, make_set, stats
-from boolcube.cube_core import distance_one_pairs, index_to_vertex, vertex_index
+from boolcube import VertexSet, complement, make_set
+from boolcube.cube_core import index_to_vertex, vertex_index
 
-from conftest import random_set
+from conftest import n1_direct, random_set
 
 
 def test_make_set_basic():
@@ -158,26 +158,22 @@ def test_index_convention_is_big_endian():
 
 
 def test_stats_hamming(hamming7):
-    st = stats(hamming7)
-    assert st.nei == 0  # min distance 3: no distance-1 pairs
-    assert st.density == Fraction(1, 8)
+    assert n1_direct(hamming7) == 0  # min distance 3: no distance-1 pairs
+    assert Fraction(hamming7.size, 1 << 7) == Fraction(1, 8)
 
 
 def test_stats_parity(parity12_e3):
-    st = stats(parity12_e3)
-    assert st.nei == 1
-    assert st.density == Fraction(1, 2)
+    assert n1_direct(parity12_e3) == parity12_e3.size  # nei = 1
+    assert Fraction(parity12_e3.size, 1 << 3) == Fraction(1, 2)
 
 
 def test_stats_singleton():
-    st = stats(make_set(3, ["000"]))
-    assert st.nei == 0
-    assert st.density == Fraction(1, 8)
+    assert n1_direct(make_set(3, ["000"])) == 0
 
 
 def test_stats_empty_rejected():
     with pytest.raises(ValueError):
-        stats(make_set(3, []))
+        n1_direct(make_set(3, []))
 
 
 def test_neighbor_sum_matches_pair_scan():
@@ -187,8 +183,7 @@ def test_neighbor_sum_matches_pair_scan():
         S = random_set(rng, n)
         members = S.member_indices()
         n1 = sum((u ^ v).bit_count() == 1 for u in members for v in members)
-        assert distance_one_pairs(S) == n1
-        assert stats(S).neighbor_sum == S.size + n1
+        assert n1_direct(S) == n1
 
 
 def test_nei_translation_invariant():
@@ -197,8 +192,8 @@ def test_nei_translation_invariant():
         n = rng.randint(1, 8)
         S = random_set(rng, n)
         t = index_to_vertex(rng.getrandbits(n), n)
-        st, st2 = stats(S), stats(S.translate(t))
-        assert st.nei == st2.nei and st.density == st2.density
+        T = S.translate(t)
+        assert n1_direct(S) == n1_direct(T) and S.size == T.size
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 24])
@@ -215,7 +210,3 @@ def test_complement():
     assert complement(complement(S)) == S
     half = make_set(2, ["00", "01"])
     assert complement(half) == make_set(2, ["10", "11"])
-
-
-def test_full_set():
-    assert full_set(3).size == 8

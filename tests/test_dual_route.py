@@ -1,9 +1,8 @@
 """`verify` reads nei, the slack and the perfect verdict with its (b, c) off
 the dual distribution D.  These tests hold it to the direct routes: the
 verdict and the matrix of the neighbour scan `check_perfect`, and N_1 from
-the pairwise `distance_distribution`.  Above its pairwise limit that
-function takes the spectral route itself, so there N_1 is counted here in
-numpy instead: one AND of the two halves of each bit's pairs."""
+`conftest.n1_direct` (the pairwise `distance_distribution` for small sets, a
+numpy pair count for large ones)."""
 import random
 
 import numpy as np
@@ -11,25 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolcube import (VertexSet, affine_coloring, backtrack_search,
-                      check_perfect, complement, distance_distribution,
-                      half_cube, hamming_code, sweep, verify)
+                      check_perfect, complement, half_cube, hamming_code,
+                      sweep, verify)
 from boolcube import coloring, macwilliams
 from boolcube.cli import build_report
 from boolcube.coloring import ParameterMatrix, _all_subsets
 from boolcube.cube_core import _pack
-from boolcube.macwilliams import PAIRWISE_LIMIT
 
-from conftest import membership
+from conftest import n1_direct
 
 PROPERTY = settings(max_examples=80, deadline=None, database=None)
-
-
-def _n1_direct(T: VertexSet) -> int:
-    if T.size <= PAIRWISE_LIMIT:
-        return distance_distribution(T).counts[1]
-    a = membership(T)
-    return sum(2 * int(np.count_nonzero(v[:, 0] & v[:, 1]))
-               for v in (a.reshape(-1, 2, 1 << k) for k in range(T.n)))
 
 
 def _check_against_direct_routes(S: VertexSet) -> None:
@@ -38,7 +28,7 @@ def _check_against_direct_routes(S: VertexSet) -> None:
     direct = check_perfect(T)
     assert rep.is_perfect == direct.is_perfect
     assert rep.matrix == direct.matrix
-    assert rep.nei * T.size == _n1_direct(T)
+    assert rep.nei * T.size == n1_direct(T)
     assert (rep.slack == 0) == direct.is_perfect
 
 

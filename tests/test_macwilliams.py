@@ -5,10 +5,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from boolcube import (VertexSet, cor_order, distance_distribution, full_set,
-                      inverse_macwilliams, krawtchouk,
+from boolcube import (VertexSet, complement, cor_order,
+                      distance_distribution, inverse_macwilliams, krawtchouk,
                       macwilliams_from_distances, macwilliams_from_spectrum,
-                      make_set, stats, transform)
+                      make_set, transform, verify)
 from boolcube.cube_core import index_to_vertex
 
 from conftest import pairwise_distance_counts, random_set
@@ -65,18 +65,13 @@ def test_distance_distribution_matches_pair_scan():
 
 
 def test_distance_distribution_spectral_route_agrees():
-    # force the spectral path by lowering the pairwise limit
-    import boolcube.macwilliams as mw
+    # N from the spectrum: D of the transform, then the inverse MacWilliams
     rng = random.Random(37)
-    old = mw.PAIRWISE_LIMIT
-    try:
-        mw.PAIRWISE_LIMIT = 0
-        for _ in range(20):
-            S = random_set(rng, rng.randint(1, 8))
-            via_spectral = distance_distribution(S)
-            assert list(via_spectral.counts) == pairwise_distance_counts(S)
-    finally:
-        mw.PAIRWISE_LIMIT = old
+    for _ in range(20):
+        S = random_set(rng, rng.randint(1, 8))
+        dual = macwilliams_from_spectrum(transform(S))
+        assert list(inverse_macwilliams(dual).counts) == \
+            pairwise_distance_counts(S)
 
 
 def test_dual_hamming(hamming7):
@@ -152,7 +147,9 @@ def test_b1_equals_nei():
     rng = random.Random(43)
     for _ in range(20):
         S = random_set(rng, rng.randint(1, 8))
-        assert distance_distribution(S).B[1] == stats(S).nei
+        r = verify(S)
+        T = complement(S) if r.complemented else S
+        assert distance_distribution(T).B[1] == r.nei
 
 
 def test_inverse_round_trip():
@@ -188,5 +185,5 @@ def test_dual_of_empty_spectrum_rejected():
 
 
 def test_full_set_distribution():
-    d = distance_distribution(full_set(3))
+    d = distance_distribution(complement(VertexSet(3, 0)))
     assert d.counts == tuple(8 * comb(3, i) for i in range(4))

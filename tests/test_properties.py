@@ -3,11 +3,12 @@ it prints is compared here against an independent route, over random sets
 at n <= 10 (sparse, dense and perfect ones)."""
 import json
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from boolcube import (VertexSet, affine_coloring, check_perfect, complement,
                       cor_order, distance_distribution,
-                      macwilliams_from_distances, spectral_support)
+                      macwilliams_from_distances, transform)
 from boolcube.cli import build_report, parse_document, serialize_document
 
 from conftest import pairwise_distance_counts
@@ -69,7 +70,9 @@ def test_report_cor_and_support_match_spectral_routes(S):
     rep = build_report(S)
     T = _analysed(S, rep)
     assert rep["cor"] == cor_order(T)
-    assert rep["spectral_support"] == sorted(spectral_support(T))
+    # the support by its definition: the weights of the nonzero coefficients
+    nonzero = np.flatnonzero(transform(T).coeffs).tolist()
+    assert rep["spectral_support"] == sorted({u.bit_count() for u in nonzero})
 
 
 @PROPERTY

@@ -7,11 +7,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolcube import (Construction, Infeasible, ParameterMatrix, VertexSet,
-                      affine_coloring, backtrack_search, check_perfect,
-                      construct, cor_from_matrix, cor_order,
-                      enumerate_perfect, half_cube, hamming_code, make_set,
-                      verify)
+from boolcube import (N_MAX, Construction, Infeasible, ParameterMatrix,
+                      VertexSet, affine_coloring, backtrack_search,
+                      check_perfect, construct, cor_from_matrix, cor_order,
+                      enumerate_perfect, half_cube, hamming_code, verify)
 from boolcube.cube_core import index_to_vertex
 from boolcube.search import _check_feasible, canonical_mask
 
@@ -228,6 +227,34 @@ def test_engines_reject_a_target_of_another_dimension(search):
 def test_engines_raise_infeasible_with_the_same_message(search):
     with pytest.raises(Infeasible, match=re.escape("no integer |S|")):
         search(4, ParameterMatrix(4, 2, 4))
+
+
+# the (n, b, c) with n <= 10 that pass range, parity and integer |S| but
+# break Fon-Der-Flaass: unbalanced, with 3(cor+1) = 3(b+c)/2 > 2n
+FDF_CELLS = [(5, 3, 5), (5, 5, 3), (9, 7, 9), (9, 9, 7), (10, 6, 10),
+             (10, 7, 9), (10, 9, 7), (10, 10, 6)]
+
+
+@pytest.mark.parametrize("n,b,c", FDF_CELLS)
+def test_feasibility_applies_fon_der_flaass(n, b, c):
+    with pytest.raises(Infeasible, match="Fon-Der-Flaass"):
+        backtrack_search(n, ParameterMatrix(n, b, c))
+
+
+def test_feasible_targets_up_to_n_max():
+    accepted = set()
+    for n in range(1, N_MAX + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                try:
+                    _check_feasible(n, ParameterMatrix(n, b, c))
+                except Infeasible:
+                    continue
+                accepted.add((n, b, c))
+    assert len(accepted) == 738
+    assert accepted.isdisjoint(FDF_CELLS)
+    # the lifts of the (3, 1) code meet the bound with equality
+    assert all((3 * k, 3 * k, k) in accepted for k in range(1, 9))
 
 
 def _outcome(search, n, target):

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolcube import (VertexSet, cor_order, cor_order_direct, full_set,
+from boolcube import (VertexSet, complement, cor_order, cor_order_direct,
                       inverse_transform, make_set, transform)
 from boolcube.cube_core import index_to_vertex, vertex_index
-from boolcube.spectral import weight_table
+from boolcube.spectral import _weight_classes
 
 from conftest import membership, naive_transform, random_set
 
@@ -106,7 +106,7 @@ def test_inverse_special_spectra():
     assert empty == VertexSet(3, 0)
     dc = np.zeros(8, dtype=np.int64)
     dc[0] = 8
-    assert inverse_transform(Spectrum(3, dc)) == full_set(3)
+    assert inverse_transform(Spectrum(3, dc)) == complement(VertexSet(3, 0))
 
 
 def test_inverse_non_boolean_reconstruction():
@@ -135,7 +135,7 @@ def test_cor_order_rejects_constant():
     with pytest.raises(ValueError):
         cor_order(make_set(3, []))
     with pytest.raises(ValueError):
-        cor_order(full_set(3))
+        cor_order(complement(VertexSet(3, 0)))
 
 
 def test_cor_order_direct_examples(hamming7):
@@ -183,6 +183,9 @@ def test_transform_of_the_empty_set_n21():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_weight_table_is_popcount(n):
-    wt = weight_table(n)
-    assert wt.dtype == np.int64 and not wt.flags.writeable
-    assert wt.tolist() == [bin(i).count("1") for i in range(1 << n)]
+    # the weight classes that cor_order and the MacWilliams sums read
+    idx, bounds = _weight_classes(n)
+    assert idx.dtype == np.int32 and not idx.flags.writeable
+    assert [idx[bounds[k]:bounds[k + 1]].tolist() for k in range(n + 1)] == \
+        [[i for i in range(1 << n) if bin(i).count("1") == k]
+         for k in range(n + 1)]

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolcube import (VertexSet, bf_bound, check_perfect, code_rigidity,
-                      complement, cor_order, fdf_bound, full_set, half_cube,
-                      is_perfect_code, make_set, stats, sweep, verify)
+from boolcube import (VertexSet, check_perfect, code_rigidity, complement,
+                      cor_order, half_cube, is_perfect_code, make_set, sweep,
+                      verify)
 from boolcube.cube_core import index_to_vertex
 
-from conftest import random_set
+from conftest import n1_direct, random_set
 
 
 def test_verify_hamming(hamming7):
@@ -38,7 +38,7 @@ def test_verify_rejects_constant():
     with pytest.raises(ValueError):
         verify(make_set(3, []))
     with pytest.raises(ValueError):
-        verify(full_set(3))
+        verify(complement(VertexSet(3, 0)))
 
 
 def test_verify_complements_dense_sets():
@@ -58,7 +58,7 @@ def test_verify_complements_dense_sets():
     (20, 700000, True),
 ])
 def test_verify_nei_matches_stats(n, size, complemented):
-    # verify takes N_1 from its neighbour scan, stats from big-int shifts
+    # verify takes N_1 from its dual distribution, n1_direct counts pairs
     a = np.zeros(1 << n, dtype=np.uint8)
     a[np.random.default_rng(size).permutation(1 << n)[:size]] = 1
     S = VertexSet(n, int.from_bytes(np.packbits(a, bitorder="little"),
@@ -66,7 +66,8 @@ def test_verify_nei_matches_stats(n, size, complemented):
     r = verify(S)
     T = complement(S) if complemented else S
     assert r.complemented is complemented
-    assert r.nei == stats(T).nei and r.rho == stats(T).density
+    assert r.nei * T.size == n1_direct(T)
+    assert r.rho == Fraction(T.size, 1 << n)
 
 
 def test_slack_is_exact():
@@ -81,10 +82,11 @@ def test_slack_is_exact():
 
 def _equality_form(S: VertexSet) -> bool:
     """nei = rho*n + (n - 2(cor+1))(1 - rho) on the set verify analyses,
-    from stats and the spectral cor_order route."""
+    from the counted N_1 and the spectral cor_order route."""
     T = complement(S) if 2 * S.size > 1 << S.n else S
-    st, cor = stats(T), cor_order(T)
-    return st.nei == st.density * T.n + (T.n - 2 * (cor + 1)) * (1 - st.density)
+    nei, rho = Fraction(n1_direct(T), T.size), Fraction(T.size, 1 << T.n)
+    cor = cor_order(T)
+    return nei == rho * T.n + (T.n - 2 * (cor + 1)) * (1 - rho)
 
 
 def test_equality_form_matches_slack():
@@ -112,33 +114,26 @@ def test_equality_form_examples(hamming7):
 
 
 def test_fdf_bound(hamming7):
-    assert fdf_bound(hamming7)  # cor=3 <= 11/3
+    assert verify(hamming7).fdf_bound_ok  # cor=3 <= 11/3
     balanced = make_set(2, ["00", "11"])
-    assert fdf_bound(balanced)
+    assert verify(balanced).fdf_bound_ok
     for mask in range(1, (1 << 16) - 1, 37):
         S = VertexSet(4, mask)
-        assert fdf_bound(S)
+        assert verify(S).fdf_bound_ok
 
 
 def test_bf_bound(hamming7):
-    assert bf_bound(hamming7)  # equality: 1/8 = 1 - 7/8
-    assert bf_bound(make_set(3, ["000"]))
+    assert verify(hamming7).bf_bound_ok  # equality: 1/8 = 1 - 7/8
+    assert verify(make_set(3, ["000"])).bf_bound_ok
     for mask in range(1, (1 << 16) - 1, 41):
-        assert bf_bound(VertexSet(4, mask))
-
-
-@pytest.mark.parametrize("bound", [fdf_bound, bf_bound])
-def test_bounds_reject_constant_sets(bound):
-    for S in (VertexSet(3, 0), full_set(3)):
-        with pytest.raises(ValueError):
-            bound(S)
+        assert verify(VertexSet(4, mask)).bf_bound_ok
 
 
 def test_bf_equality_cases_are_perfect():
     for n in (2, 3):
         for mask in range(1, (1 << (1 << n)) - 1):
             S = VertexSet(n, mask)
-            rho = stats(S).density
+            rho = Fraction(S.size, 1 << n)
             if rho == 1 - Fraction(n, 2 * (cor_order(S) + 1)):
                 assert check_perfect(S).is_perfect
 
@@ -208,7 +203,7 @@ def test_sweep_matches_verify_on_n3():
             assert (r.slack == 0) == r.is_perfect
             perfect += check_perfect(S).is_perfect
             equal += r.slack == 0
-            bf_equal += (stats(S).density
+            bf_equal += (Fraction(S.size, 1 << n)
                          == 1 - Fraction(n, 2 * (cor_order(S) + 1)))
         assert perfect == s.perfect_count
         assert equal == s.equality_cases
