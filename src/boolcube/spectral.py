@@ -17,8 +17,11 @@ class Spectrum:
     """Walsh coefficients of an indicator function, coeffs[idx(v)] = a_hat(v).
 
     `transform` gives exact int32 values: |a_hat| <= 2^n, which fits for
-    n <= 30.  A square does not fit (a_hat(0)^2 = |S|^2), so callers widen
-    to int64 before squaring, as `macwilliams_from_spectrum` does.
+    n <= 30.  The butterfly gets there in three stages, each as narrow as
+    the values allow: levels 0-5 in int8, 6-13 in int16, 14 and up in
+    int32 (see `_STAGES`).  A square does not fit (a_hat(0)^2 = |S|^2), so
+    callers widen to int64 before squaring, as `macwilliams_from_spectrum`
+    does.
     """
     n: int
     coeffs: np.ndarray
@@ -43,31 +46,38 @@ def _weight_classes(n: int) -> tuple[np.ndarray, tuple]:
 
 
 LOW_BITS = 6     # bits k < 6 pair runs of only 2^k entries
-BLOCK_BITS = 16  # a 2^16-entry block (256 KB of int32) fits in cache
+BLOCK_BITS = 16  # a 2^16-entry block (at most 256 KB, in int32) fits in cache
 
 
-def _pair_levels(op, *arrays) -> None:
+def _pair_levels(op, *arrays, bits: range = range(64)) -> None:
     """Call op on the (-1, 2, m) views pairing u with u ^ 2^k, for every bit
-    k of the index of the equal-length 1-D arrays (length 2^n); op works in
-    place on the first view and only reads the others.
+    k in `bits` (clipped to the n bits) of the index of the equal-length 1-D
+    arrays (length 2^n); op works in place on the first view and only reads
+    the others.
 
     Bits below BLOCK_BITS run one cache-sized block at a time, and among
     them bits below LOW_BITS run on a transposed copy of the block, where
-    bit k pairs runs of 2^k * rows entries instead of 2^k."""
+    bit k pairs runs of 2^k * rows entries instead of 2^k.  The schedule is
+    the same for any range: `_fwht_inplace` calls it once per dtype stage
+    (bits 0-5 in int8, 6-13 in int16, 14 and up in int32), and the
+    neighbour count over all bits."""
     size = arrays[0].shape[0]
     n = size.bit_length() - 1
     blk_bits = min(n, BLOCK_BITS)
     low = min(n, LOW_BITS)
     rows = 1 << (blk_bits - low)
+    transposed = range(bits.start, min(bits.stop, low))
+    in_block = range(max(bits.start, low), min(bits.stop, blk_bits))
     for lo in range(0, size, 1 << blk_bits):
         blocks = [x[lo:lo + (1 << blk_bits)] for x in arrays]
-        ts = [b.reshape(rows, 1 << low).T.copy() for b in blocks]
-        for k in range(low):
-            op(*(t.reshape(-1, 2, rows << k) for t in ts))
-        blocks[0].reshape(rows, 1 << low)[...] = ts[0].T
-        for k in range(low, blk_bits):
+        if transposed:
+            ts = [b.reshape(rows, 1 << low).T.copy() for b in blocks]
+            for k in transposed:
+                op(*(t.reshape(-1, 2, rows << k) for t in ts))
+            blocks[0].reshape(rows, 1 << low)[...] = ts[0].T
+        for k in in_block:
             op(*(b.reshape(-1, 2, 1 << k) for b in blocks))
-    for k in range(blk_bits, n):
+    for k in range(max(bits.start, blk_bits), min(bits.stop, n)):
         op(*(x.reshape(-1, 2, 1 << k) for x in arrays))
 
 
@@ -79,16 +89,32 @@ def _butterfly(v: np.ndarray) -> None:
     y += x
 
 
+# After k levels a 0/1 table holds values in [-2^(k-1), 2^k], and level k
+# reaches 2^(k+1) in flight (x + y, and -2y); so levels 0-5 fit int8,
+# levels 6-13 int16, and levels 14 and up int32 (|a_hat| <= 2^n, exact to
+# n = 30).  _pair_levels clips each range to the table's n bits.
+_STAGES = ((np.int8, range(0, 6)), (np.int16, range(6, 14)),
+           (np.int32, range(14, 64)))
+
+
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of `a` (length 2^n), in place."""
-    _pair_levels(_butterfly, a)
+    """Unnormalised Walsh-Hadamard transform of `a` (length 2^n); returns
+    the transformed array, which is `a` itself unless it was widened.
+
+    The levels run in the stages of _STAGES, and before each stage `a` is
+    widened to the stage's dtype if it is narrower.  A 0/1 table passed as
+    int8 stays in [-2^(k-1), 2^k] after k levels, so no stage wraps and it
+    comes back as exact int32; an int64 table runs every level in place."""
+    for dtype, bits in _STAGES:
+        if a.itemsize < np.dtype(dtype).itemsize:
+            a = a.astype(dtype)
+        _pair_levels(_butterfly, a, bits=bits)
     return a
 
 
 def transform(S: VertexSet) -> Spectrum:
     """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n))."""
-    a = _membership_array(S).astype(np.int32)
-    return Spectrum(S.n, _fwht_inplace(a))
+    return Spectrum(S.n, _fwht_inplace(_membership_array(S).view(np.int8)))
 
 
 def inverse_transform(sp: Spectrum):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolcube import (VertexSet, complement, cor_order, cor_order_direct,
                       inverse_transform, make_set, transform)
@@ -60,18 +61,42 @@ def _fwht_int64_oracle(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def test_transform_is_int32():
-    S = random_set(random.Random(2), 10)
-    assert transform(S).coeffs.dtype == np.int32
+@pytest.mark.parametrize("n", range(1, 17))
+def test_transform_is_int32(n):
+    """int32 and read-only at every n, also at n <= 6, where the int16 and
+    int32 stages of the butterfly have no levels to run, and at n <= 14,
+    where the int32 stage has none."""
+    coeffs = transform(random_set(random.Random(n), n)).coeffs
+    assert coeffs.dtype == np.int32
+    assert not coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs[0] = 0
 
 
-@pytest.mark.parametrize("n", range(15, 21))
+# The full set puts 2^k at index 0 after k levels: n = 7 (128) and n = 15
+# (32768) are the first values that an int8 or int16 stage ending one
+# level late would wrap; 6, 8, 13, 14 and 16 sit on either side.
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 8, 13, 14, 15, 16, 17, 18, 19, 20])
 def test_blocked_transform_matches_int64_butterfly(n):
     rng = random.Random(n)
     for S in (random_set(rng, n), VertexSet(n, 1 << rng.randrange(1 << n)),
               VertexSet(n, (1 << (1 << n)) - 1)):
         assert np.array_equal(transform(S).coeffs,
                               _fwht_int64_oracle(membership(S)))
+
+
+@st.composite
+def masks_up_to_n12(draw):
+    n = draw(st.integers(1, 12))
+    return VertexSet(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(masks_up_to_n12())
+def test_staged_transform_matches_int64_butterfly_and_inverts(S):
+    sp = transform(S)
+    assert np.array_equal(sp.coeffs, _fwht_int64_oracle(membership(S)))
+    assert inverse_transform(sp) == S
 
 
 def test_parseval():
