@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -212,7 +213,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import time
     t0 = time.perf_counter()
     try:
         summary = sweep(args.n)

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .cube_core import VertexSet
-from .spectral import Spectrum, _weight_classes
+from .spectral import Spectrum, _dual_sums
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,7 @@ def macwilliams_from_spectrum(sp: Spectrum) -> DualDistribution:
     size = int(sp.coeffs[0])
     if size == 0:
         raise ValueError("dual distribution undefined for |S| = 0")
-    idx, bounds = _weight_classes(sp.n)
-    duals = []
-    for k in range(sp.n + 1):
-        g = sp.coeffs[idx[bounds[k]:bounds[k + 1]]].astype(np.int64)
-        duals.append(int(np.dot(g, g)))
-    return DualDistribution(sp.n, size, tuple(duals))
+    return DualDistribution(sp.n, size, _dual_sums(sp))
 
 
 def _krawtchouk_sums(n: int, xs: tuple) -> list:

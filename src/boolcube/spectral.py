@@ -20,29 +20,13 @@ class Spectrum:
     n <= 30.  The butterfly gets there in three stages, each as narrow as
     the values allow: levels 0-5 in int8, 6-13 in int16, 14 and up in
     int32 (see `_STAGES`).  A square does not fit (a_hat(0)^2 = |S|^2), so
-    callers widen to int64 before squaring, as `macwilliams_from_spectrum`
-    does.
+    callers widen to int64 before squaring, as `_dual_sums` does.
     """
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-
-
-@lru_cache(maxsize=None)
-def _weight_classes(n: int) -> tuple[np.ndarray, tuple]:
-    """Every index 0 .. 2^n-1 grouped by weight, as one int32 array, and the
-    class boundaries: the weight-k indices are idx[bounds[k]:bounds[k + 1]]."""
-    wt = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    idx = np.empty(1 << n, dtype=np.int32)
-    bounds = [0]
-    for k in range(n + 1):
-        cls = np.flatnonzero(wt == k)
-        idx[bounds[-1]:bounds[-1] + cls.size] = cls
-        bounds.append(bounds[-1] + cls.size)
-    idx.setflags(write=False)
-    return idx, tuple(bounds)
 
 
 LOW_BITS = 6     # bits k < 6 pair runs of only 2^k entries
@@ -112,6 +96,38 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
+ROW_BITS = 16  # _dual_sums squares about 2^16 entries (512 KB) at a time
+
+
+@lru_cache(maxsize=None)
+def _index_classes(m: int) -> tuple:
+    """0 .. 2^m-1 split by weight: class i holds the intp indices of weight i."""
+    wt = np.bitwise_count(np.arange(1 << m))
+    return tuple(np.flatnonzero(wt == i) for i in range(m + 1))
+
+
+def _dual_sums(sp: Spectrum) -> tuple:
+    """D_k = sum of a_hat(v)^2 over the v of weight k, exact in int64
+    (D_k <= 2^n |S| <= 2^48), with no index of 2^n entries.
+
+    wt(v) = wt(high h bits) + wt(low l bits), h = n // 2: as a (2^h, 2^l)
+    matrix, the rows of each high weight i are squared and summed into H[i],
+    about 2^ROW_BITS entries at a time; then D_(i + j) sums H[i] over the
+    columns of low weight j."""
+    h, l = sp.n // 2, sp.n - sp.n // 2
+    a = sp.coeffs.reshape(1 << h, 1 << l)
+    step = max(1, (1 << ROW_BITS) >> l)
+    H = np.zeros((h + 1, 1 << l), dtype=np.int64)
+    for i, rows in enumerate(_index_classes(h)):
+        for lo in range(0, rows.size, step):
+            sq = np.square(a[rows[lo:lo + step]], dtype=np.int64)
+            H[i] += sq.sum(axis=0)
+    wt = np.arange(h + 1)[:, None] + np.bitwise_count(np.arange(1 << l))
+    D = np.zeros(sp.n + 1, dtype=np.int64)
+    np.add.at(D, wt, H)
+    return tuple(D.tolist())
+
+
 def transform(S: VertexSet) -> Spectrum:
     """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n))."""
     return Spectrum(S.n, _fwht_inplace(_membership_array(S).view(np.int8)))
@@ -131,14 +147,12 @@ def inverse_transform(sp: Spectrum):
 
 
 def cor_order(S: VertexSet) -> int:
-    """cor(S): one less than the first weight class k >= 1 that holds a
-    nonzero coefficient (one does, by Parseval, as S is not constant)."""
+    """cor(S): one less than the first weight k >= 1 with D_k > 0 (one has
+    it, by Parseval, as S is not constant)."""
     if S.size == 0 or S.size == (1 << S.n):
         raise ValueError("correlation immunity undefined for constant functions")
-    coeffs = transform(S).coeffs
-    idx, bounds = _weight_classes(S.n)
-    return next(k - 1 for k in range(1, S.n + 1)
-                if coeffs[idx[bounds[k]:bounds[k + 1]]].any())
+    duals = _dual_sums(transform(S))
+    return next(k - 1 for k in range(1, S.n + 1) if duals[k])
 
 
 def cor_order_direct(S: VertexSet, t: int) -> bool:

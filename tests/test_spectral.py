@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from boolcube import (VertexSet, complement, cor_order, cor_order_direct,
                       inverse_transform, make_set, transform)
 from boolcube.cube_core import index_to_vertex, vertex_index
-from boolcube.spectral import _weight_classes
+from boolcube.spectral import _index_classes
 
 from conftest import membership, naive_transform, random_set
 
@@ -206,11 +206,11 @@ def test_transform_of_the_empty_set_n21():
     assert not transform(VertexSet(21, 0)).coeffs.any()
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_weight_table_is_popcount(n):
-    # the weight classes that cor_order and the MacWilliams sums read
-    idx, bounds = _weight_classes(n)
-    assert idx.dtype == np.int32 and not idx.flags.writeable
-    assert [idx[bounds[k]:bounds[k + 1]].tolist() for k in range(n + 1)] == \
-        [[i for i in range(1 << n) if bin(i).count("1") == k]
-         for k in range(n + 1)]
+@pytest.mark.parametrize("m", range(1, 13))
+def test_weight_table_is_popcount(m):
+    # the row classes of the D kernel, m = n // 2 <= 12
+    classes = _index_classes(m)
+    assert all(c.dtype == np.intp for c in classes)
+    assert [c.tolist() for c in classes] == \
+        [[i for i in range(1 << m) if bin(i).count("1") == k]
+         for k in range(m + 1)]
