@@ -19,8 +19,10 @@ class Spectrum:
     `transform` gives exact int32 values: |a_hat| <= 2^n, which fits for
     n <= 30.  The butterfly gets there in three stages, each as narrow as
     the values allow: levels 0-5 in int8, 6-13 in int16, 14 and up in
-    int32 (see `_STAGES`).  A square does not fit (a_hat(0)^2 = |S|^2), so
-    callers widen to int64 before squaring, as `_dual_sums` does.
+    int32 (see `_STAGES`).  Each stage runs on the table rotated so that its
+    bits lead the position; the rotations add up to n, so `coeffs` is in
+    natural order.  A square does not fit (a_hat(0)^2 = |S|^2), so callers
+    widen to int64 before squaring, as `_dual_sums` does.
     """
     n: int
     coeffs: np.ndarray
@@ -29,70 +31,98 @@ class Spectrum:
         self.coeffs.setflags(write=False)
 
 
-LOW_BITS = 6     # bits k < 6 pair runs of only 2^k entries
-BLOCK_BITS = 16  # a 2^16-entry block (at most 256 KB, in int32) fits in cache
-
-
-def _pair_levels(op, *arrays, bits: range = range(64)) -> None:
-    """Call op on the (-1, 2, m) views pairing u with u ^ 2^k, for every bit
-    k in `bits` (clipped to the n bits) of the index of the equal-length 1-D
-    arrays (length 2^n); op works in place on the first view and only reads
-    the others.
-
-    Bits below BLOCK_BITS run one cache-sized block at a time, and among
-    them bits below LOW_BITS run on a transposed copy of the block, where
-    bit k pairs runs of 2^k * rows entries instead of 2^k.  The schedule is
-    the same for any range: `_fwht_inplace` calls it once per dtype stage
-    (bits 0-5 in int8, 6-13 in int16, 14 and up in int32), and the
-    neighbour count over all bits."""
-    size = arrays[0].shape[0]
-    n = size.bit_length() - 1
-    blk_bits = min(n, BLOCK_BITS)
-    low = min(n, LOW_BITS)
-    rows = 1 << (blk_bits - low)
-    transposed = range(bits.start, min(bits.stop, low))
-    in_block = range(max(bits.start, low), min(bits.stop, blk_bits))
-    for lo in range(0, size, 1 << blk_bits):
-        blocks = [x[lo:lo + (1 << blk_bits)] for x in arrays]
-        if transposed:
-            ts = [b.reshape(rows, 1 << low).T.copy() for b in blocks]
-            for k in transposed:
-                op(*(t.reshape(-1, 2, rows << k) for t in ts))
-            blocks[0].reshape(rows, 1 << low)[...] = ts[0].T
-        for k in in_block:
-            op(*(b.reshape(-1, 2, 1 << k) for b in blocks))
-    for k in range(max(bits.start, blk_bits), min(bits.stop, n)):
-        op(*(x.reshape(-1, 2, 1 << k) for x in arrays))
-
-
 def _butterfly(v: np.ndarray) -> None:
-    """(x, y) -> (x + y, x - y) on the pairs of a (-1, 2, m) view."""
+    """(x, y) -> (x + y, x - y) on the pairs of a view whose axis 1 has
+    length 2."""
     x, y = v[:, 0], v[:, 1]
     x += y
     y *= -2
     y += x
 
 
-# After k levels a 0/1 table holds values in [-2^(k-1), 2^k], and level k
-# reaches 2^(k+1) in flight (x + y, and -2y); so levels 0-5 fit int8,
-# levels 6-13 int16, and levels 14 and up int32 (|a_hat| <= 2^n, exact to
-# n = 30).  _pair_levels clips each range to the table's n bits.
-_STAGES = ((np.int8, range(0, 6)), (np.int16, range(6, 14)),
-           (np.int32, range(14, 64)))
+# (dtype, levels) of the butterfly's stages, each clipped to the n levels
+# of the table.  After k levels a 0/1 table holds values in
+# [-2^(k-1), 2^k], and level k reaches 2^(k+1) in flight (x + y, and -2y);
+# so levels 0-5 fit int8, levels 6-13 int16, and levels 14 and up int32
+# (|a_hat| <= 2^n, exact to n = 30).  Each stage runs on the table rotated
+# so that its levels are the top bits of the position (`_fwht_inplace`).
+_STAGES = ((np.int8, 6), (np.int16, 8), (np.int32, 64))
+
+TILE_BITS = 8    # a rotation copies tiles of 2^16 entries, at most 2^8 wide
+COL_BITS = 12    # levels pair rows of 2^12 entries, one column block at a time
+GROUP_BITS = 21  # on groups of rows of at most 2^21 bytes (2 MB, in L2)
+
+
+def _rotate(a: np.ndarray, g: int, dtype) -> np.ndarray:
+    """A copy of `a` (length 2^n) in `dtype`, in which the entry at position
+    p moves to p rotated right by g bits: the (2^(n-g), 2^g) matrix
+    transposed and widened in one pass, one tile of about 2^(2 TILE_BITS)
+    entries at a time."""
+    src = a.reshape(-1, 1 << g)
+    out = np.empty(src.shape[::-1], dtype)
+    step = 1 << max(TILE_BITS, 2 * TILE_BITS - g)
+    for r0 in range(0, src.shape[0], step):
+        for c0 in range(0, src.shape[1], 1 << TILE_BITS):
+            out[c0:c0 + (1 << TILE_BITS), r0:r0 + step] = \
+                src[r0:r0 + step, c0:c0 + (1 << TILE_BITS)].T
+    return out.reshape(-1)
+
+
+def _rotated_membership(S: VertexSet) -> np.ndarray:
+    """The int8 0/1 table of S rotated for the first stage: vertex u at
+    position u rotated right by g = min(n, 6) bits (the identity at n <= 6).
+
+    Read straight from the mask bytes: byte j of row i of their
+    (2^(n-g), 2^(g-3)) matrix holds the vertices 2^g i + 8 j + b, b = 0..7,
+    so the transposed bytes shifted right by b and masked are the rows
+    8 j + b of the rotated (2^g, 2^(n-g)) table (one broadcast shift)."""
+    n, g = S.n, min(S.n, _STAGES[0][1])
+    if g == n:
+        return _membership_array(S).view(np.int8)
+    raw = np.frombuffer(S.mask.to_bytes(1 << (n - 3), "little"), np.uint8)
+    t = np.ascontiguousarray(raw.reshape(-1, 1 << (g - 3)).T)
+    out = np.right_shift(t[:, None], np.arange(8, dtype=np.uint8)[:, None])
+    out &= 1
+    return out.reshape(-1).view(np.int8)
 
 
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of `a` (length 2^n); returns
-    the transformed array, which is `a` itself unless it was widened.
+    """Unnormalised Walsh-Hadamard transform of a table (length 2^n) given
+    rotated for the first stage, as by `_rotated_membership`; returns the
+    transform in natural order, in a new array unless n <= 6 and `a` is
+    int32 or wider, when it is `a` itself.
 
-    The levels run in the stages of _STAGES, and before each stage `a` is
-    widened to the stage's dtype if it is narrower.  A 0/1 table passed as
-    int8 stays in [-2^(k-1), 2^k] after k levels, so no stage wraps and it
-    comes back as exact int32; an int64 table runs every level in place."""
-    for dtype, bits in _STAGES:
-        if a.itemsize < np.dtype(dtype).itemsize:
-            a = a.astype(dtype)
-        _pair_levels(_butterfly, a, bits=bits)
+    Before each later stage of _STAGES, the table is rotated right by that
+    stage's g levels, and widened to its dtype in the same pass if it is
+    narrower; the stage's bits are then the top bits of the position, and
+    each of its levels pairs whole rows of the (2^g, 2^(n-g)) matrix, run
+    2^COL_BITS columns at a time.  A column block larger than 2^GROUP_BITS
+    bytes (the int32 stage from n = 22 on) runs its levels in parts: part
+    k0..k1-1 runs on each set of rows that differ only in those bits, one
+    set at a time.  The rotations add up to n, so the last stage ends in
+    natural order.  A 0/1 table passed as int8 comes back as exact int32;
+    an int64 table stays int64."""
+    n = a.shape[0].bit_length() - 1
+    done = 0
+    for dtype, levels in _STAGES:
+        g = min(levels, n - done)
+        if done and (g or a.itemsize < np.dtype(dtype).itemsize):
+            a = _rotate(a, g, np.promote_types(a.dtype, dtype))
+        done += g
+        m = a.reshape(1 << g, -1)
+        w = min(m.shape[1], 1 << COL_BITS)
+        fit = max(1, GROUP_BITS - (w * a.itemsize).bit_length() + 1)
+        parts = -(-g // fit)
+        for c0 in range(0, m.shape[1], w):
+            block = m[:, c0:c0 + w]
+            for j in range(parts):
+                k0, k1 = g * j // parts, g * (j + 1) // parts
+                v = block.reshape(-1, 1 << (k1 - k0), 1 << k0, w)
+                for hi in range(v.shape[0]):
+                    for lo in range(v.shape[2]):
+                        rows = v[hi, :, lo]
+                        for k in range(k1 - k0):
+                            _butterfly(rows.reshape(-1, 2, 1 << k, w))
     return a
 
 
@@ -130,7 +160,7 @@ def _dual_sums(sp: Spectrum) -> tuple:
 
 def transform(S: VertexSet) -> Spectrum:
     """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n))."""
-    return Spectrum(S.n, _fwht_inplace(_membership_array(S).view(np.int8)))
+    return Spectrum(S.n, _fwht_inplace(_rotated_membership(S)))
 
 
 def inverse_transform(sp: Spectrum):
@@ -140,7 +170,8 @@ def inverse_transform(sp: Spectrum):
     full table of exact rationals (the non-Boolean case).
     """
     size = 1 << sp.n
-    vals = _fwht_inplace(sp.coeffs.astype(np.int64))  # 2^n * a(u)
+    g = min(sp.n, _STAGES[0][1])
+    vals = _fwht_inplace(_rotate(sp.coeffs, g, np.int64))  # 2^n * a(u)
     if np.all((vals == 0) | (vals == size)):
         return VertexSet(sp.n, _pack(vals == size))
     return [Fraction(int(v), size) for v in vals]

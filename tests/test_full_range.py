@@ -1,11 +1,13 @@
-"""The analysis above n = 20, up to N_MAX = 24: exact spectra, the equality
-case on a perfect affine coloring, and a near miss one vertex away."""
+"""The analysis above n = 20, up to N_MAX = 24: exact spectra at the right
+positions, the equality case on a perfect affine coloring, and a near miss
+one vertex away."""
 import numpy as np
 import pytest
 
 from boolcube import (N_MAX, VertexSet, affine_coloring, check_perfect,
                       inverse_macwilliams, inverse_transform, transform,
                       verify)
+from boolcube.cube_core import index_to_vertex
 
 from conftest import n1_direct
 
@@ -33,6 +35,36 @@ def test_transform_is_exact_int32(pair):
     assert c.dtype == np.int32
     assert int(c[0]) == T.size
     assert _sum_squares(c) == (1 << n) * T.size  # Parseval
+
+
+def _asymmetric_vertex(n: int) -> int:
+    """A vertex that no rotation of its n bits maps to itself, so a
+    spectrum read at rotated positions cannot pass a check that names it."""
+    u = 0xB5A3C1 & ((1 << n) - 1)
+    assert all(((u >> k) | (u << (n - k))) & ((1 << n) - 1) != u
+               for k in range(1, n))
+    return u
+
+
+@pytest.mark.parametrize("n", [21, N_MAX])
+def test_transform_of_one_vertex_is_its_character(n):
+    """a_hat(v) = (-1)^wt(u & v) at every v, compared 2^20 entries at a time."""
+    u = _asymmetric_vertex(n)
+    c = transform(VertexSet(n, 1 << u)).coeffs
+    step = 1 << 20
+    for lo in range(0, c.size, step):
+        v = np.arange(lo, lo + step)
+        sign = 1 - 2 * (np.bitwise_count(v & u) & 1).astype(np.int32)
+        assert np.array_equal(c[lo:lo + step], sign)
+
+
+@pytest.mark.parametrize("n", [21, N_MAX])
+def test_transform_of_an_affine_set_is_two_peaks(n):
+    """{x : <x, v> = 0} has a_hat = 2^(n-1) at 0 and at v, and 0 elsewhere."""
+    v = _asymmetric_vertex(n)
+    c = transform(affine_coloring(n, index_to_vertex(v, n))).coeffs
+    assert np.flatnonzero(c).tolist() == [0, v]
+    assert c[0] == c[v] == 1 << (n - 1)
 
 
 def test_verify_affine_is_the_equality_case(pair):

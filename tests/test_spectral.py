@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolcube import (VertexSet, complement, cor_order, cor_order_direct,
-                      inverse_transform, make_set, transform)
-from boolcube.cube_core import index_to_vertex, vertex_index
-from boolcube.spectral import _index_classes
+                      inverse_transform, make_set, spectral, transform)
+from boolcube.cube_core import _membership_array, index_to_vertex, vertex_index
+from boolcube.spectral import _index_classes, _rotate, _rotated_membership
 
 from conftest import membership, naive_transform, random_set
 
@@ -75,14 +75,59 @@ def test_transform_is_int32(n):
 
 # The full set puts 2^k at index 0 after k levels: n = 7 (128) and n = 15
 # (32768) are the first values that an int8 or int16 stage ending one
-# level late would wrap; 6, 8, 13, 14 and 16 sit on either side.
-@pytest.mark.parametrize("n", [1, 5, 6, 7, 8, 13, 14, 15, 16, 17, 18, 19, 20])
+# level late would wrap; 6, 8, 13, 14 and 16 sit on either side.  At
+# n = 2..4 only the first stage runs, at 9..12 the second is partial.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                               15, 16, 17, 18, 19, 20])
 def test_blocked_transform_matches_int64_butterfly(n):
     rng = random.Random(n)
     for S in (random_set(rng, n), VertexSet(n, 1 << rng.randrange(1 << n)),
               VertexSet(n, (1 << (1 << n)) - 1)):
         assert np.array_equal(transform(S).coeffs,
                               _fwht_int64_oracle(membership(S)))
+
+
+# n = 20 runs 16 tiles of 2^16 entries (2 TILE_BITS) for every g, and from
+# g = 9 on the tiles split the columns too
+@pytest.mark.parametrize("g", range(11))
+@pytest.mark.parametrize("rest", [0, 1, 4, None],
+                         ids=["n=g", "n=g+1", "n=g+4", "n=20"])
+def test_rotate_is_the_widened_transpose(g, rest):
+    n = 20 if rest is None else g + rest
+    a = np.random.default_rng(100 * n + g).integers(-128, 128, 1 << n,
+                                                    dtype=np.int8)
+    want = a.reshape(-1, 1 << g).T.ravel()
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        got = _rotate(a, g, dtype)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_rotated_membership_is_the_rotated_table(n):
+    """The first stage's input, unpacked from the mask bytes, is the table
+    rotated right by min(n, 6) bits, also for masks with the top bit set."""
+    rng = random.Random(n)
+    top = 1 << ((1 << n) - 1)
+    for mask in (rng.getrandbits(1 << n) | top, top, 1, top - 1):
+        S = VertexSet(n, mask)
+        got = _rotated_membership(S)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _membership_array(S).reshape(
+            -1, 1 << min(n, 6)).T.ravel())
+
+
+@pytest.mark.parametrize("group_bits", [15, 16, 17])
+@pytest.mark.parametrize("n", [14, 17, 18])
+def test_row_groups_match_int64_butterfly(monkeypatch, n, group_bits):
+    """At GROUP_BITS = 21 the levels of a stage run in groups of rows only
+    from n = 22 on; smaller values split the stages here, down to one level
+    per group, also in the int64 stages of the inverse."""
+    monkeypatch.setattr(spectral, "GROUP_BITS", group_bits)
+    S = random_set(random.Random(group_bits * n), n)
+    assert np.array_equal(transform(S).coeffs,
+                          _fwht_int64_oracle(membership(S)))
+    assert inverse_transform(transform(S)) == S
 
 
 @st.composite
