@@ -44,41 +44,34 @@ LOW_BITS = 6     # bits k < 6 pair runs of only 2^k entries
 BLOCK_BITS = 16  # a 2^16-entry block (64 KB per uint8 array) fits in cache
 
 
-def _pair_levels(op, *arrays) -> None:
-    """Call op on the (-1, 2, m) views pairing u with u ^ 2^k, for every bit
-    k of the index of the equal-length 1-D arrays (length 2^n); op works in
-    place on the first view and only reads the others.
-
-    Bits below BLOCK_BITS run one cache-sized block at a time, and among
-    them bits below LOW_BITS run on a transposed copy of the block, where
-    bit k pairs runs of 2^k * rows entries instead of 2^k."""
-    size = arrays[0].shape[0]
-    n = size.bit_length() - 1
-    blk_bits = min(n, BLOCK_BITS)
-    low = min(n, LOW_BITS)
-    rows = 1 << (blk_bits - low)
-    for lo in range(0, size, 1 << blk_bits):
-        blocks = [x[lo:lo + (1 << blk_bits)] for x in arrays]
-        ts = [b.reshape(rows, 1 << low).T.copy() for b in blocks]
-        for k in range(low):
-            op(*(t.reshape(-1, 2, rows << k) for t in ts))
-        blocks[0].reshape(rows, 1 << low)[...] = ts[0].T
-        for k in range(low, blk_bits):
-            op(*(b.reshape(-1, 2, 1 << k) for b in blocks))
-    for k in range(blk_bits, n):
-        op(*(x.reshape(-1, 2, 1 << k) for x in arrays))
-
-
 def _add_partner(c: np.ndarray, a: np.ndarray) -> None:
     c += a[:, ::-1]
 
 
 def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """(membership array, per-vertex count of in-S neighbors) over E^n, in
-    uint8; each bit k adds the membership of u ^ 2^k to the count of u."""
+    uint8; each bit k adds the membership of u ^ 2^k to the count of u,
+    through the (-1, 2, m) views that pair u with u ^ 2^k.
+
+    Bits below BLOCK_BITS run one cache-sized block at a time, and among
+    them bits below LOW_BITS run on a transposed copy of the block, where
+    bit k pairs runs of 2^k * rows entries instead of 2^k."""
     arr = _membership_array(S)
     cnt = np.zeros_like(arr)
-    _pair_levels(_add_partner, cnt, arr)
+    blk_bits, low = min(S.n, BLOCK_BITS), min(S.n, LOW_BITS)
+    rows = 1 << (blk_bits - low)
+    for lo in range(0, arr.shape[0], 1 << blk_bits):
+        a, c = arr[lo:lo + (1 << blk_bits)], cnt[lo:lo + (1 << blk_bits)]
+        at = a.reshape(rows, 1 << low).T.copy()
+        ct = np.zeros_like(at)
+        for k in range(low):
+            _add_partner(ct.reshape(-1, 2, rows << k),
+                         at.reshape(-1, 2, rows << k))
+        c.reshape(rows, 1 << low)[...] = ct.T
+        for k in range(low, blk_bits):
+            _add_partner(c.reshape(-1, 2, 1 << k), a.reshape(-1, 2, 1 << k))
+    for k in range(blk_bits, S.n):
+        _add_partner(cnt.reshape(-1, 2, 1 << k), arr.reshape(-1, 2, 1 << k))
     return arr, cnt
 
 

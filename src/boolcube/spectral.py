@@ -49,8 +49,7 @@ def _butterfly(v: np.ndarray) -> None:
 _STAGES = ((np.int8, 6), (np.int16, 8), (np.int32, 64))
 
 TILE_BITS = 8    # a rotation copies tiles of 2^16 entries, at most 2^8 wide
-COL_BITS = 12    # levels pair rows of 2^12 entries, one column block at a time
-GROUP_BITS = 21  # on groups of rows of at most 2^21 bytes (2 MB, in L2)
+GROUP_BITS = 21  # levels run on row groups of at most 2^21 bytes (2 MB, L2)
 
 
 def _rotate(a: np.ndarray, g: int, dtype) -> np.ndarray:
@@ -95,13 +94,13 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     Before each later stage of _STAGES, the table is rotated right by that
     stage's g levels, and widened to its dtype in the same pass if it is
     narrower; the stage's bits are then the top bits of the position, and
-    each of its levels pairs whole rows of the (2^g, 2^(n-g)) matrix, run
-    2^COL_BITS columns at a time.  A column block larger than 2^GROUP_BITS
-    bytes (the int32 stage from n = 22 on) runs its levels in parts: part
-    k0..k1-1 runs on each set of rows that differ only in those bits, one
-    set at a time.  The rotations add up to n, so the last stage ends in
-    natural order.  A 0/1 table passed as int8 comes back as exact int32;
-    an int64 table stays int64."""
+    each of its levels pairs whole rows of the (2^g, 2^(n-g)) matrix.  A
+    stage larger than 2^GROUP_BITS bytes (int32 from n = 20 on, int16 from
+    n = 21, int8 from n = 22) runs its levels in parts: part k0..k1-1 runs
+    on each set of rows that differ only in those bits, one set at a time.
+    The rotations add up to n, so the last stage ends in natural order.
+    A 0/1 table passed as int8 comes back as exact int32; an int64 table
+    stays int64."""
     n = a.shape[0].bit_length() - 1
     done = 0
     for dtype, levels in _STAGES:
@@ -110,19 +109,17 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
             a = _rotate(a, g, np.promote_types(a.dtype, dtype))
         done += g
         m = a.reshape(1 << g, -1)
-        w = min(m.shape[1], 1 << COL_BITS)
+        w = m.shape[1]
         fit = max(1, GROUP_BITS - (w * a.itemsize).bit_length() + 1)
         parts = -(-g // fit)
-        for c0 in range(0, m.shape[1], w):
-            block = m[:, c0:c0 + w]
-            for j in range(parts):
-                k0, k1 = g * j // parts, g * (j + 1) // parts
-                v = block.reshape(-1, 1 << (k1 - k0), 1 << k0, w)
-                for hi in range(v.shape[0]):
-                    for lo in range(v.shape[2]):
-                        rows = v[hi, :, lo]
-                        for k in range(k1 - k0):
-                            _butterfly(rows.reshape(-1, 2, 1 << k, w))
+        for j in range(parts):
+            k0, k1 = g * j // parts, g * (j + 1) // parts
+            v = m.reshape(-1, 1 << (k1 - k0), 1 << k0, w)
+            for hi in range(v.shape[0]):
+                for lo in range(v.shape[2]):
+                    rows = v[hi, :, lo]
+                    for k in range(k1 - k0):
+                        _butterfly(rows.reshape(-1, 2, 1 << k, w))
     return a
 
 

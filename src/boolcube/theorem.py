@@ -149,8 +149,8 @@ def sweep(n: int) -> SweepSummary:
     bounds, and that every Bierbrauer-Friedman equality case is perfect.
     cor and one N_1 come from the Walsh spectra, the other N_1 and the
     perfect verdict from the counts."""
+    s, n1, perfect, _, _, cor, n1_spec = _all_subsets(n)  # checks n first
     size = 1 << n
-    s, n1, perfect, _, _, cor, n1_spec = _all_subsets(n)
     masks = np.arange(len(s))
     nonconst = (s > 0) & (s < size)
 

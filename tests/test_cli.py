@@ -350,7 +350,7 @@ def test_analyze_rejects_malformed_documents_exit2(tmp_path, capsys, doc):
 
 
 def test_sweep_out_of_range_exit2(capsys):
-    for n in ("5", "0"):
+    for n in ("5", "0", "-1"):
         code, out, err = run_cli(capsys, ["sweep", "--n", n])
         assert code == 2 and out == ""
         assert ("exhaustive enumeration: dimension %s out of range [1, 4]"

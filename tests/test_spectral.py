@@ -121,8 +121,10 @@ def test_rotated_membership_is_the_rotated_table(n):
 @pytest.mark.parametrize("n", [14, 17, 18])
 def test_row_groups_match_int64_butterfly(monkeypatch, n, group_bits):
     """At GROUP_BITS = 21 the levels of a stage run in groups of rows only
-    from n = 22 on; smaller values split the stages here, down to one level
-    per group, also in the int64 stages of the inverse."""
+    from n = 20 on (int32; int16 from n = 21, int8 from n = 22); smaller
+    values split the stages here, down to one level per group, also in the
+    int64 stages of the inverse: at 15, n = 17 runs the int8 and int16
+    stages in 2 parts and the int32 stage in 3."""
     monkeypatch.setattr(spectral, "GROUP_BITS", group_bits)
     S = random_set(random.Random(group_bits * n), n)
     assert np.array_equal(transform(S).coeffs,
