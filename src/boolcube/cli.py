@@ -59,10 +59,12 @@ def parse_document(doc: dict) -> VertexSet:
     if len(hexstr) % 2:
         hexstr = "0" + hexstr
     try:
-        mask = int.from_bytes(bytes.fromhex(hexstr), "little")
+        raw = bytes.fromhex(hexstr)
+        if 2 * len(raw) != len(hexstr):  # fromhex skips whitespace
+            raise ValueError("whitespace is not a hex digit")
     except ValueError as exc:
         raise ValueError("bad hex digits in mask_hex: %s" % exc) from None
-    return VertexSet(n, mask)
+    return VertexSet(n, int.from_bytes(raw, "little"))
 
 
 def serialize_document(S: VertexSet, as_mask: bool = False) -> dict:

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube_core import VertexSet, _membership_array, _pack
+from .cube_core import VertexSet
 
 
 @dataclass(frozen=True)
@@ -17,12 +17,11 @@ class Spectrum:
     """Walsh coefficients of an indicator function, coeffs[idx(v)] = a_hat(v).
 
     `transform` gives exact int32 values: |a_hat| <= 2^n, which fits for
-    n <= 30.  The butterfly gets there in three stages, each as narrow as
-    the values allow: levels 0-5 in int8, 6-13 in int16, 14 and up in
-    int32 (see `_STAGES`).  Each stage runs on the table rotated so that its
-    bits lead the position; the rotations add up to n, so `coeffs` is in
-    natural order.  A square does not fit (a_hat(0)^2 = |S|^2), so callers
-    widen to int64 before squaring, as `_dual_sums` does.
+    n <= 30.  A byte table runs levels 0-2, then levels 3-5 run in int8,
+    6-13 in int16 and 14 up in int32 (see `_STAGES`).  `coeffs` is the
+    transform's whole work buffer, 4 bytes per entry.  A square does not
+    fit (a_hat(0)^2 = |S|^2), so callers widen to int64 before squaring,
+    as `_dual_sums` does.
     """
     n: int
     coeffs: np.ndarray
@@ -40,90 +39,133 @@ def _butterfly(v: np.ndarray) -> None:
     y += x
 
 
-# (dtype, levels) of the butterfly's stages, each clipped to the n levels
-# of the table.  After k levels a 0/1 table holds values in
+# Levels 0-2 run inside chunks of 8 entries, before the stages: on the mask
+# bytes through _BYTE_WHT, whose entry b is the 8-point transform of the
+# bits of b (vertex 8j + i is bit i of byte j) as 8 int8 values read as one
+# uint64; in the inverse, as a product with the 8 x 8 Walsh matrix _H8.
+_H8 = np.where(np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1,
+               -1, 1)
+_BYTE_WHT = (((np.arange(256)[:, None] >> np.arange(8)) & 1) @ _H8) \
+    .astype(np.int8).view(np.uint64).ravel()
+
+# (dtype, levels) of the butterfly's stages from level 3 up, each clipped
+# to the levels of the table.  After k levels a 0/1 table holds values in
 # [-2^(k-1), 2^k], and level k reaches 2^(k+1) in flight (x + y, and -2y);
-# so levels 0-5 fit int8, levels 6-13 int16, and levels 14 and up int32
-# (|a_hat| <= 2^n, exact to n = 30).  Each stage runs on the table rotated
-# so that its levels are the top bits of the position (`_fwht_inplace`).
-_STAGES = ((np.int8, 6), (np.int16, 8), (np.int32, 64))
+# so levels up to 5 fit int8, levels 6-13 int16, and levels 14 and up
+# int32 (|a_hat| <= 2^n, exact to n = 30).
+_STAGES = ((np.int8, 3), (np.int16, 8), (np.int32, 64))
 
-TILE_BITS = 8    # a rotation copies tiles of 2^16 entries, at most 2^8 wide
+TILE_BITS = 6    # a rotation copies 2^6 rows of its chunk matrix at a time
+WIDEN_BITS = 14  # a widening's blocks stop halving below 2^14 entries
 GROUP_BITS = 21  # levels run on row groups of at most 2^21 bytes (2 MB, L2)
+ROW_BITS = 16    # levels 0-2 and _dual_sums take about 2^16 items at a time
 
 
-def _rotate(a: np.ndarray, g: int, dtype) -> np.ndarray:
-    """A copy of `a` (length 2^n) in `dtype`, in which the entry at position
-    p moves to p rotated right by g bits: the (2^(n-g), 2^g) matrix
-    transposed and widened in one pass, one tile of about 2^(2 TILE_BITS)
-    entries at a time."""
-    src = a.reshape(-1, 1 << g)
-    out = np.empty(src.shape[::-1], dtype)
-    step = 1 << max(TILE_BITS, 2 * TILE_BITS - g)
-    for r0 in range(0, src.shape[0], step):
-        for c0 in range(0, src.shape[1], 1 << TILE_BITS):
-            out[c0:c0 + (1 << TILE_BITS), r0:r0 + step] = \
-                src[r0:r0 + step, c0:c0 + (1 << TILE_BITS)].T
-    return out.reshape(-1)
+def _rotate(a: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
+    """`out`, filled with `a` (2^c chunks of 8 entries) with its chunks
+    rotated right by g bits of the chunk index: the (2^(c-g), 2^g) chunk
+    matrix transposed, 2^TILE_BITS rows at a time."""
+    item = np.dtype((np.void, 8 * a.itemsize))
+    src = a.view(item).reshape(-1, 1 << g)
+    dst = out.view(item).reshape(1 << g, -1)
+    for r in range(0, src.shape[0], 1 << TILE_BITS):
+        dst[:, r:r + (1 << TILE_BITS)] = src[r:r + (1 << TILE_BITS)].T
+    return out
 
 
-def _rotated_membership(S: VertexSet) -> np.ndarray:
-    """The int8 0/1 table of S rotated for the first stage: vertex u at
-    position u rotated right by g = min(n, 6) bits (the identity at n <= 6).
-
-    Read straight from the mask bytes: byte j of row i of their
-    (2^(n-g), 2^(g-3)) matrix holds the vertices 2^g i + 8 j + b, b = 0..7,
-    so the transposed bytes shifted right by b and masked are the rows
-    8 j + b of the rotated (2^g, 2^(n-g)) table (one broadcast shift)."""
-    n, g = S.n, min(S.n, _STAGES[0][1])
-    if g == n:
-        return _membership_array(S).view(np.int8)
-    raw = np.frombuffer(S.mask.to_bytes(1 << (n - 3), "little"), np.uint8)
-    t = np.ascontiguousarray(raw.reshape(-1, 1 << (g - 3)).T)
-    out = np.right_shift(t[:, None], np.arange(8, dtype=np.uint8)[:, None])
-    out &= 1
-    return out.reshape(-1).view(np.int8)
+def _widen(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out`, filled with `a`.  `out` may start before `a` in one buffer and
+    end where it ends: the copy runs in blocks [N - 2h, N - h), h = N/2,
+    N/4, .., each ending where the unread part of `a` begins, and numpy
+    buffers the last, of under 2^(WIDEN_BITS + 1) entries."""
+    N, h = out.size, out.size // 2
+    while h >= 1 << WIDEN_BITS:
+        out[N - 2 * h:N - h] = a[N - 2 * h:N - h]
+        h //= 2
+    out[N - 2 * h:] = a[N - 2 * h:]
+    return out
 
 
-def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of a table (length 2^n) given
-    rotated for the first stage, as by `_rotated_membership`; returns the
-    transform in natural order, in a new array unless n <= 6 and `a` is
-    int32 or wider, when it is `a` itself.
+def _levels(a: np.ndarray, g: int) -> None:
+    """Butterfly levels on the top g bits of the position of `a`: each level
+    pairs whole rows of the (2^g, 2^(n-g)) matrix.  Where the table exceeds
+    2^GROUP_BITS bytes (int32 from n = 20 on, int16 from n = 21, int8 from
+    n = 22), its levels run in parts: part k0..k1-1 runs on each set of
+    rows that differ only in those bits, one set at a time."""
+    m = a.reshape(1 << g, -1)
+    w = m.shape[1]
+    fit = max(1, GROUP_BITS - (w * a.itemsize).bit_length() + 1)
+    parts = -(-g // fit)
+    for j in range(parts):
+        k0, k1 = g * j // parts, g * (j + 1) // parts
+        v = m.reshape(-1, 1 << (k1 - k0), 1 << k0, w)
+        for hi in range(v.shape[0]):
+            for lo in range(v.shape[2]):
+                rows = v[hi, :, lo]
+                for k in range(k1 - k0):
+                    _butterfly(rows.reshape(-1, 2, 1 << k, w))
 
-    Before each later stage of _STAGES, the table is rotated right by that
-    stage's g levels, and widened to its dtype in the same pass if it is
-    narrower; the stage's bits are then the top bits of the position, and
-    each of its levels pairs whole rows of the (2^g, 2^(n-g)) matrix.  A
-    stage larger than 2^GROUP_BITS bytes (int32 from n = 20 on, int16 from
-    n = 21, int8 from n = 22) runs its levels in parts: part k0..k1-1 runs
-    on each set of rows that differ only in those bits, one set at a time.
-    The rotations add up to n, so the last stage ends in natural order.
-    A 0/1 table passed as int8 comes back as exact int32; an int64 table
-    stays int64."""
-    n = a.shape[0].bit_length() - 1
-    done = 0
+
+def _fwht_inplace(x: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a table of 2^n >= 8 entries,
+    given as its packed 0/1 mask bytes (uint8) or as its 8-entry rows of
+    integers, in natural order; returns exact int32 from mask bytes and
+    int64 otherwise, in natural order.
+
+    Levels 0-2 are done as the 8-entry chunks are written (_BYTE_WHT, or a
+    product with _H8 of the rows widened to int64), already rotated for the
+    first stage.  Before each later stage the chunks are rotated right by
+    its g levels (_rotate) and widened to its dtype (_widen), so that its
+    levels pair whole rows (_levels).  The rotations add up to n - 3.
+
+    Every step writes into one work buffer, allocated here, at its head or
+    its tail by turns, so that the last table lands in the head.  From mask
+    bytes the buffer is the int32 result, 4 bytes per entry: the int16
+    table at its tail is widened over it in place.  From integers it holds
+    two int64 tables, 16 bytes per entry."""
+    byte = x.dtype == np.uint8
+    first = np.dtype(np.int8 if byte else np.int64)
+    c = x.shape[0].bit_length() - 1  # bits of the chunk index, n - 3
+    stages, done = [], 0
     for dtype, levels in _STAGES:
-        g = min(levels, n - done)
-        if done and (g or a.itemsize < np.dtype(dtype).itemsize):
-            a = _rotate(a, g, np.promote_types(a.dtype, dtype))
-        done += g
-        m = a.reshape(1 << g, -1)
-        w = m.shape[1]
-        fit = max(1, GROUP_BITS - (w * a.itemsize).bit_length() + 1)
-        parts = -(-g // fit)
-        for j in range(parts):
-            k0, k1 = g * j // parts, g * (j + 1) // parts
-            v = m.reshape(-1, 1 << (k1 - k0), 1 << k0, w)
-            for hi in range(v.shape[0]):
-                for lo in range(v.shape[2]):
-                    rows = v[hi, :, lo]
-                    for k in range(k1 - k0):
-                        _butterfly(rows.reshape(-1, 2, 1 << k, w))
+        stages.append((np.promote_types(first, dtype), min(levels, c - done)))
+        done += stages[-1][1]
+    # the tables written: integers widened to int64, the first stage's,
+    # then for each later stage its rotation and its widening
+    writes = (not byte) + 1 + sum(bool(g) + (d != p) for (p, _), (d, g)
+                                  in zip(stages, stages[1:]))
+    last, before = stages[-1][0], stages[-2][0]
+    work = np.empty((last.itemsize << (c + 3)) * (1 if last != before else 2),
+                    np.uint8)
+
+    def table(dtype):
+        nonlocal writes
+        writes -= 1
+        size = dtype.itemsize << (c + 3)
+        at = 0 if writes % 2 == 0 else work.size - size
+        return work[at:at + size].view(dtype)
+
+    g = stages[0][1]
+    if not byte:
+        x = _widen(x.reshape(-1), table(first)).reshape(x.shape)
+    a = table(first)
+    src = x.reshape(-1, 1 << g, *x.shape[1:]).swapaxes(0, 1)
+    dst = (a.view(np.uint64) if byte else a).reshape(src.shape)
+    step = max(1, (1 << ROW_BITS) >> (c - g))
+    for r in range(0, 1 << g, step):
+        if byte:
+            np.take(_BYTE_WHT, src[r:r + step], out=dst[r:r + step],
+                    mode="clip")
+        else:
+            np.matmul(src[r:r + step], _H8, out=dst[r:r + step])
+    _levels(a, g)
+    for dtype, g in stages[1:]:
+        if g:
+            a = _rotate(a, g, table(a.dtype))
+        if a.dtype != dtype:
+            a = _widen(a, table(dtype))
+        _levels(a, g)
     return a
-
-
-ROW_BITS = 16  # _dual_sums squares about 2^16 entries (512 KB) at a time
 
 
 @lru_cache(maxsize=None)
@@ -156,21 +198,34 @@ def _dual_sums(sp: Spectrum) -> tuple:
 
 
 def transform(S: VertexSet) -> Spectrum:
-    """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n))."""
-    return Spectrum(S.n, _fwht_inplace(_rotated_membership(S)))
+    """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n)).
+    Below n = 3 the mask is one byte, and the first 2^n entries of its
+    8-point transform are the spectrum."""
+    raw = np.frombuffer(S.mask.to_bytes(max(1, (1 << S.n) >> 3), "little"),
+                        np.uint8)
+    return Spectrum(S.n, _fwht_inplace(raw)[:1 << S.n])
 
 
 def inverse_transform(sp: Spectrum):
     """Reconstruct the function table from a spectrum.
 
     Returns a VertexSet when the reconstruction is 0/1-valued, otherwise the
-    full table of exact rationals (the non-Boolean case).
+    full table of exact rationals (the non-Boolean case).  The coefficients
+    are widened to int64, and their levels 0-2 run as a product with _H8,
+    as the byte table holds only 0/1 inputs; the work buffer holds two
+    int64 tables, 16 bytes per entry, and goes before the mask is built.
     """
     size = 1 << sp.n
-    g = min(sp.n, _STAGES[0][1])
-    vals = _fwht_inplace(_rotate(sp.coeffs, g, np.int64))  # 2^n * a(u)
-    if np.all((vals == 0) | (vals == size)):
-        return VertexSet(sp.n, _pack(vals == size))
+    # below n = 3 padded with zeros to 8 entries, as in transform
+    x = sp.coeffs if size >= 8 else np.pad(sp.coeffs, (0, 8 - size))
+    vals = _fwht_inplace(x.reshape(-1, 8))[:size]  # 2^n * a(u)
+    # 0/1-valued: all values in [0, 2^n], and the nonzero ones sum to 2^n
+    # each (four reductions, and no table of 2^n entries beside vals)
+    if vals.min() >= 0 and vals.max() <= size and \
+            int(vals.sum()) == size * np.count_nonzero(vals):
+        bits = np.packbits(vals, bitorder="little")
+        del vals  # frees the work buffer before the mask is built
+        return VertexSet(sp.n, int.from_bytes(bits.tobytes(), "little"))
     return [Fraction(int(v), size) for v in vals]
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from boolcube import (VertexSet, complement, cor_order, cor_order_direct,
                       inverse_transform, make_set, spectral, transform)
-from boolcube.cube_core import _membership_array, index_to_vertex, vertex_index
-from boolcube.spectral import _index_classes, _rotate, _rotated_membership
+from boolcube.cube_core import index_to_vertex, vertex_index
+from boolcube.spectral import _index_classes, _rotate, _widen
 
 from conftest import membership, naive_transform, random_set
 
@@ -87,34 +87,69 @@ def test_blocked_transform_matches_int64_butterfly(n):
                               _fwht_int64_oracle(membership(S)))
 
 
-# n = 20 runs 16 tiles of 2^16 entries (2 TILE_BITS) for every g, and from
-# g = 9 on the tiles split the columns too
+def test_byte_table_is_the_8_point_transform():
+    """Entry b of the byte table is the int64 oracle's transform of the 8
+    bits of b, as 8 int8 values (vertex 8j + i is bit i of mask byte j)."""
+    table = spectral._BYTE_WHT.view(np.int8).reshape(256, 8)
+    for b in range(256):
+        bits = np.array([(b >> i) & 1 for i in range(8)])
+        assert np.array_equal(table[b], _fwht_int64_oracle(bits))
+
+
+# n counts the chunks: 2^n chunks of 8 entries, the table of an (n + 3)-cube,
+# so n = g is the one-row chunk matrix; n = 20 runs 2^14 tiles of
+# 2^TILE_BITS rows at g = 0 and 2^4 at g = 10
 @pytest.mark.parametrize("g", range(11))
 @pytest.mark.parametrize("rest", [0, 1, 4, None],
                          ids=["n=g", "n=g+1", "n=g+4", "n=20"])
 def test_rotate_is_the_widened_transpose(g, rest):
+    """A stage boundary: _rotate transposes the (2^(n-g), 2^g) matrix of
+    8-entry chunks, keeping each chunk's entries in order, and _widen
+    copies the result into the next stage's dtype over the buffer whose
+    tail holds it, as in _fwht_inplace."""
     n = 20 if rest is None else g + rest
-    a = np.random.default_rng(100 * n + g).integers(-128, 128, 1 << n,
-                                                    dtype=np.int8)
-    want = a.reshape(-1, 1 << g).T.ravel()
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        got = _rotate(a, g, dtype)
-        assert got.dtype == dtype and got.flags.c_contiguous
-        assert np.array_equal(got, want)
+    rng = np.random.default_rng(100 * n + g)
+    a = rng.integers(-128, 128, 8 << n, dtype=np.int8)
+    want = a.reshape(-1, 1 << g, 8).transpose(1, 0, 2).ravel()
+    for dtype, wide in ((np.int8, np.int16), (np.int16, np.int32)):
+        out = np.empty(8 << n, dtype)
+        assert _rotate(a.astype(dtype), g, out) is out
+        assert np.array_equal(out, want)
+        work = np.empty(np.dtype(wide).itemsize << (n + 3), np.uint8)
+        tail = work[work.size - out.nbytes:].view(dtype)
+        tail[:] = out
+        got = _widen(tail, work.view(wide))
+        assert got.dtype == wide and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
-def test_rotated_membership_is_the_rotated_table(n):
-    """The first stage's input, unpacked from the mask bytes, is the table
-    rotated right by min(n, 6) bits, also for masks with the top bit set."""
+def test_rotated_membership_is_the_rotated_table(monkeypatch, n):
+    """The first stage's input, unpacked from the mask bytes through the
+    byte table, is the table after levels 0-2 with its chunks rotated right
+    by min(n - 3, 3) bits, also for masks with the top bit set; below n = 3
+    it is the 8-point transform of the one mask byte."""
+    first = []
+    levels = spectral._levels
+
+    def spy(a, g):
+        if not first:
+            first.append(a.copy())
+        levels(a, g)
+
+    monkeypatch.setattr(spectral, "_levels", spy)
     rng = random.Random(n)
     top = 1 << ((1 << n) - 1)
     for mask in (rng.getrandbits(1 << n) | top, top, 1, top - 1):
         S = VertexSet(n, mask)
-        got = _rotated_membership(S)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, _membership_array(S).reshape(
-            -1, 1 << min(n, 6)).T.ravel())
+        first.clear()
+        transform(S)
+        table = np.zeros(max(8, 1 << n), np.int64)
+        table[:1 << n] = membership(S)
+        g = min(max(n - 3, 0), 3)
+        want = (table.reshape(-1, 8) @ spectral._H8).reshape(
+            -1, 1 << g, 8).transpose(1, 0, 2).ravel()
+        assert first[0].dtype == np.int8
+        assert np.array_equal(first[0], want)
 
 
 @pytest.mark.parametrize("group_bits", [15, 16, 17])
@@ -123,8 +158,9 @@ def test_row_groups_match_int64_butterfly(monkeypatch, n, group_bits):
     """At GROUP_BITS = 21 the levels of a stage run in groups of rows only
     from n = 20 on (int32; int16 from n = 21, int8 from n = 22); smaller
     values split the stages here, down to one level per group, also in the
-    int64 stages of the inverse: at 15, n = 17 runs the int8 and int16
-    stages in 2 parts and the int32 stage in 3."""
+    int64 stages of the inverse: at 15, n = 17 runs each of the int8
+    stage's 3 levels as its own part, the int16 stage in 2 parts and the
+    int32 stage in 3."""
     monkeypatch.setattr(spectral, "GROUP_BITS", group_bits)
     S = random_set(random.Random(group_bits * n), n)
     assert np.array_equal(transform(S).coeffs,
