@@ -137,7 +137,7 @@ def _load_input(path: str | None):
 def cmd_analyze(args) -> int:
     try:
         S = parse_document(_load_input(args.input))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, RecursionError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -21,7 +21,7 @@ class Spectrum:
     6-13 in int16 and 14 up in int32 (see `_STAGES`).  `coeffs` is the
     transform's whole work buffer, 4 bytes per entry.  A square does not
     fit (a_hat(0)^2 = |S|^2), so callers widen to int64 before squaring,
-    as `_dual_sums` does.
+    as `_dual_sums` does, or before summing, as `inverse_transform` does.
     """
     n: int
     coeffs: np.ndarray
@@ -39,10 +39,9 @@ def _butterfly(v: np.ndarray) -> None:
     y += x
 
 
-# Levels 0-2 run inside chunks of 8 entries, before the stages: on the mask
-# bytes through _BYTE_WHT, whose entry b is the 8-point transform of the
-# bits of b (vertex 8j + i is bit i of byte j) as 8 int8 values read as one
-# uint64; in the inverse, as a product with the 8 x 8 Walsh matrix _H8.
+# Levels 0-2 run inside chunks of 8 entries, on the mask bytes through
+# _BYTE_WHT: entry b is the 8-point transform of the bits of b (vertex
+# 8j + i is bit i of byte j) as 8 int8 values read as one uint64.
 _H8 = np.where(np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1,
                -1, 1)
 _BYTE_WHT = (((np.arange(256)[:, None] >> np.arange(8)) & 1) @ _H8) \
@@ -62,9 +61,9 @@ ROW_BITS = 16    # levels 0-2 and _dual_sums take about 2^16 items at a time
 
 
 def _rotate(a: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
-    """`out`, filled with `a` (2^c chunks of 8 entries) with its chunks
-    rotated right by g bits of the chunk index: the (2^(c-g), 2^g) chunk
-    matrix transposed, 2^TILE_BITS rows at a time."""
+    """`out`, filled with `a` (2^c chunks of 8 int8 or int16 entries, one
+    void item each) rotated right by g bits of the chunk index: the
+    (2^(c-g), 2^g) chunk matrix transposed, 2^TILE_BITS rows at a time."""
     item = np.dtype((np.void, 8 * a.itemsize))
     src = a.view(item).reshape(-1, 1 << g)
     dst = out.view(item).reshape(1 << g, -1)
@@ -107,36 +106,29 @@ def _levels(a: np.ndarray, g: int) -> None:
 
 
 def _fwht_inplace(x: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of a table of 2^n >= 8 entries,
-    given as its packed 0/1 mask bytes (uint8) or as its 8-entry rows of
-    integers, in natural order; returns exact int32 from mask bytes and
-    int64 otherwise, in natural order.
+    """Unnormalised Walsh-Hadamard transform of a 0/1 table of 2^n >= 8
+    entries, given as its packed mask bytes (uint8) in natural order;
+    returns exact int32 in natural order.
 
-    Levels 0-2 are done as the 8-entry chunks are written (_BYTE_WHT, or a
-    product with _H8 of the rows widened to int64), already rotated for the
-    first stage.  Before each later stage the chunks are rotated right by
-    its g levels (_rotate) and widened to its dtype (_widen), so that its
-    levels pair whole rows (_levels).  The rotations add up to n - 3.
+    Levels 0-2 are done as the mask bytes are gathered through _BYTE_WHT,
+    already rotated for the first stage.  Before each later stage the
+    chunks are rotated right by its g levels (_rotate) and widened to its
+    dtype (_widen), so that its levels pair whole rows (_levels).  The
+    rotations add up to n - 3.
 
     Every step writes into one work buffer, allocated here, at its head or
-    its tail by turns, so that the last table lands in the head.  From mask
-    bytes the buffer is the int32 result, 4 bytes per entry: the int16
-    table at its tail is widened over it in place.  From integers it holds
-    two int64 tables, 16 bytes per entry."""
-    byte = x.dtype == np.uint8
-    first = np.dtype(np.int8 if byte else np.int64)
-    c = x.shape[0].bit_length() - 1  # bits of the chunk index, n - 3
+    its tail by turns, so that the last table lands in the head.  The
+    buffer is the int32 result, 4 bytes per entry: the int16 table at its
+    tail is widened over it in place."""
+    c = x.size.bit_length() - 1  # bits of the chunk index, n - 3
     stages, done = [], 0
     for dtype, levels in _STAGES:
-        stages.append((np.promote_types(first, dtype), min(levels, c - done)))
+        stages.append((np.dtype(dtype), min(levels, c - done)))
         done += stages[-1][1]
-    # the tables written: integers widened to int64, the first stage's,
-    # then for each later stage its rotation and its widening
-    writes = (not byte) + 1 + sum(bool(g) + (d != p) for (p, _), (d, g)
-                                  in zip(stages, stages[1:]))
-    last, before = stages[-1][0], stages[-2][0]
-    work = np.empty((last.itemsize << (c + 3)) * (1 if last != before else 2),
-                    np.uint8)
+    # the tables written: the first stage's, then for each later stage its
+    # rotation and its widening
+    writes = 1 + sum(bool(g) + 1 for _, g in stages[1:])
+    work = np.empty(4 << (c + 3), np.uint8)
 
     def table(dtype):
         nonlocal writes
@@ -146,24 +138,17 @@ def _fwht_inplace(x: np.ndarray) -> np.ndarray:
         return work[at:at + size].view(dtype)
 
     g = stages[0][1]
-    if not byte:
-        x = _widen(x.reshape(-1), table(first)).reshape(x.shape)
-    a = table(first)
-    src = x.reshape(-1, 1 << g, *x.shape[1:]).swapaxes(0, 1)
-    dst = (a.view(np.uint64) if byte else a).reshape(src.shape)
+    a = table(stages[0][0])
+    src = x.reshape(-1, 1 << g).T
+    dst = a.view(np.uint64).reshape(src.shape)
     step = max(1, (1 << ROW_BITS) >> (c - g))
     for r in range(0, 1 << g, step):
-        if byte:
-            np.take(_BYTE_WHT, src[r:r + step], out=dst[r:r + step],
-                    mode="clip")
-        else:
-            np.matmul(src[r:r + step], _H8, out=dst[r:r + step])
+        np.take(_BYTE_WHT, src[r:r + step], out=dst[r:r + step], mode="clip")
     _levels(a, g)
     for dtype, g in stages[1:]:
         if g:
             a = _rotate(a, g, table(a.dtype))
-        if a.dtype != dtype:
-            a = _widen(a, table(dtype))
+        a = _widen(a, table(dtype))
         _levels(a, g)
     return a
 
@@ -210,21 +195,20 @@ def inverse_transform(sp: Spectrum):
     """Reconstruct the function table from a spectrum.
 
     Returns a VertexSet when the reconstruction is 0/1-valued, otherwise the
-    full table of exact rationals (the non-Boolean case).  The coefficients
-    are widened to int64, and their levels 0-2 run as a product with _H8,
-    as the byte table holds only 0/1 inputs; the work buffer holds two
-    int64 tables, 16 bytes per entry, and goes before the mask is built.
+    full table of exact rationals (the non-Boolean case).  The plain
+    butterfly runs on the coefficients widened to int64 once: 8 bytes per
+    entry beside the spectrum, freed before the mask is built.
     """
     size = 1 << sp.n
-    # below n = 3 padded with zeros to 8 entries, as in transform
-    x = sp.coeffs if size >= 8 else np.pad(sp.coeffs, (0, 8 - size))
-    vals = _fwht_inplace(x.reshape(-1, 8))[:size]  # 2^n * a(u)
+    vals = sp.coeffs[:size].astype(np.int64)
+    for k in range(sp.n):
+        _butterfly(vals.reshape(-1, 2, 1 << k))  # ends as 2^n * a(u)
     # 0/1-valued: all values in [0, 2^n], and the nonzero ones sum to 2^n
     # each (four reductions, and no table of 2^n entries beside vals)
     if vals.min() >= 0 and vals.max() <= size and \
             int(vals.sum()) == size * np.count_nonzero(vals):
         bits = np.packbits(vals, bitorder="little")
-        del vals  # frees the work buffer before the mask is built
+        del vals  # frees the int64 table before the mask is built
         return VertexSet(sp.n, int.from_bytes(bits.tobytes(), "little"))
     return [Fraction(int(v), size) for v in vals]
 

@@ -320,19 +320,37 @@ def test_analyze_n24_peak_rss_in_a_fresh_process(tmp_path, make_doc):
     # entries.
     path = tmp_path / "big.json"
     path.write_text(json.dumps(make_doc()))
+    code, peak_kb = _peak_kb_in_a_fresh_process(
+        ["analyze", str(path), "--json"])
+    assert code == 0
+    assert peak_kb <= 128 * 1024
+
+
+def test_search_n24_peak_rss_in_a_fresh_process():
+    # The search keeps two room lists of 2^24 Python-list slots (128 MB
+    # each) and 2^24 colour bytes (16 MB): about 309 MB in all, where a
+    # third list of 2^24 entries would pass 384 MB.
+    code, peak_kb = _peak_kb_in_a_fresh_process(
+        ["search", "--n", "24", "--b", "12", "--c", "12", "--budget", "10"])
+    assert code == 0
+    assert peak_kb <= 384 * 1024
+
+
+def _peak_kb_in_a_fresh_process(argv):
+    """(exit code, VmHWM in kB) of the CLI run on argv in a new interpreter,
+    its stdout discarded."""
     child = ("import contextlib, io, re, sys\n"
              "from boolcube.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = main(['analyze', sys.argv[1], '--json'])\n"
+             "    code = main(sys.argv[1:])\n"
              "status = open('/proc/self/status').read()\n"
              "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n")
     src = str(Path(cli.__file__).resolve().parents[1])
-    p = subprocess.run([sys.executable, "-c", child, str(path)],
+    p = subprocess.run([sys.executable, "-c", child] + argv,
                        capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=src))
     code, peak_kb = map(int, p.stdout.split())
-    assert code == 0
-    assert peak_kb <= 128 * 1024
+    return code, peak_kb
 
 
 @pytest.mark.parametrize("doc", [
@@ -340,15 +358,19 @@ def test_analyze_n24_peak_rss_in_a_fresh_process(tmp_path, make_doc):
     {"n": 1, "vertices": "01"},
     {"n": 3, "vertices": [1]},
     {"n": 25, "mask_hex": "00"},
+    # JSON text nested past the recursion limit, which json.load reaches
+    # before there is a document to check
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-1e5"),
 ])
 def test_analyze_rejects_malformed_documents_exit2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, _, err = run_cli(capsys, ["analyze", str(path)])
     assert code == 2
     assert err.startswith("parse error")
-    with pytest.raises(ValueError):
-        parse_document(doc)
+    if not isinstance(doc, str):
+        with pytest.raises(ValueError):
+            parse_document(doc)
 
 
 @pytest.mark.parametrize("doc", [

@@ -157,10 +157,10 @@ def test_rotated_membership_is_the_rotated_table(monkeypatch, n):
 def test_row_groups_match_int64_butterfly(monkeypatch, n, group_bits):
     """At GROUP_BITS = 21 the levels of a stage run in groups of rows only
     from n = 20 on (int32; int16 from n = 21, int8 from n = 22); smaller
-    values split the stages here, down to one level per group, also in the
-    int64 stages of the inverse: at 15, n = 17 runs each of the int8
-    stage's 3 levels as its own part, the int16 stage in 2 parts and the
-    int32 stage in 3."""
+    values split the stages here, down to one level per group: at 15,
+    n = 17 runs each of the int8 stage's 3 levels as its own part, the
+    int16 stage in 2 parts and the int32 stage in 3.  The inverse runs no
+    row groups; its round trip checks the split spectrum once more."""
     monkeypatch.setattr(spectral, "GROUP_BITS", group_bits)
     S = random_set(random.Random(group_bits * n), n)
     assert np.array_equal(transform(S).coeffs,
