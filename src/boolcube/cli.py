@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .cube_core import VertexSet, _check_dimension, make_set
+from .cube_core import VertexSet, _check_dimension, _mask_bytes, make_set
 from .coloring import ParameterMatrix
 from .theorem import sweep, verify
 from .search import (DEFAULT_BUDGET, Construction, Infeasible,
@@ -68,12 +68,9 @@ def parse_document(doc: dict) -> VertexSet:
 
 
 def serialize_document(S: VertexSet, as_mask: bool = False) -> dict:
-    if as_mask:
-        nbytes = max(1, (1 << S.n) // 8)
-        hexstr = S.mask.to_bytes(nbytes, "little").hex()
-        digits = max(1, (1 << S.n) // 4)
-        hexstr = hexstr[len(hexstr) - digits:]  # n <= 2 fits one digit
-        return {"n": S.n, "mask_hex": hexstr}
+    if as_mask:  # n <= 2 fits one digit, the last of the byte's two
+        hexstr = _mask_bytes(S).tobytes().hex()
+        return {"n": S.n, "mask_hex": hexstr[-max(1, (1 << S.n) // 4):]}
     return {"n": S.n, "vertices": S.members()}
 
 

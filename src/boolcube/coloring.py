@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import VertexSet, _membership_array, index_to_vertex
+from .cube_core import _BYTE_BITS, VertexSet, _mask_bytes, index_to_vertex
 from .macwilliams import krawtchouk
-from .spectral import _butterfly
+from .spectral import _butterfly, _read_bytes
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,11 @@ class ColoringVerdict:
     witness: Optional[tuple]  # (vertex string, observed in-S neighbor count)
 
 
-LOW_BITS = 6     # bits k < 6 pair runs of only 2^k entries
-BLOCK_BITS = 16  # a 2^16-entry block (64 KB per uint8 array) fits in cache
+# Per mask byte b, 8 uint8 lanes read as one uint64: lane i holds vertex i's
+# membership, or its in-S neighbours over index bits 0-2 (_ADJ8: E^3 edges).
+_ADJ8 = np.bitwise_count(np.arange(8)[:, None] ^ np.arange(8)) == 1
+_BYTE_MEMBERS = _BYTE_BITS.astype(np.uint8).view(np.uint64).ravel()
+_BYTE_COUNTS = (_BYTE_BITS @ _ADJ8).astype(np.uint8).view(np.uint64).ravel()
 
 
 def _add_partner(c: np.ndarray, a: np.ndarray) -> None:
@@ -50,29 +53,15 @@ def _add_partner(c: np.ndarray, a: np.ndarray) -> None:
 
 def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """(membership array, per-vertex count of in-S neighbors) over E^n, in
-    uint8; each bit k adds the membership of u ^ 2^k to the count of u,
-    through the (-1, 2, m) views that pair u with u ^ 2^k.
-
-    Bits below BLOCK_BITS run one cache-sized block at a time, and among
-    them bits below LOW_BITS run on a transposed copy of the block, where
-    bit k pairs runs of 2^k * rows entries instead of 2^k."""
-    arr = _membership_array(S)
-    cnt = np.zeros_like(arr)
-    blk_bits, low = min(S.n, BLOCK_BITS), min(S.n, LOW_BITS)
-    rows = 1 << (blk_bits - low)
-    for lo in range(0, arr.shape[0], 1 << blk_bits):
-        a, c = arr[lo:lo + (1 << blk_bits)], cnt[lo:lo + (1 << blk_bits)]
-        at = a.reshape(rows, 1 << low).T.copy()
-        ct = np.zeros_like(at)
-        for k in range(low):
-            _add_partner(ct.reshape(-1, 2, rows << k),
-                         at.reshape(-1, 2, rows << k))
-        c.reshape(rows, 1 << low)[...] = ct.T
-        for k in range(low, blk_bits):
-            _add_partner(c.reshape(-1, 2, 1 << k), a.reshape(-1, 2, 1 << k))
-    for k in range(blk_bits, S.n):
+    uint8.  The byte tables give uint64 words of 8 lanes with index bits 0-2
+    done (lanes past 2^n < 8 are non-members); each bit k >= 3 adds the word
+    of u ^ 2^k to that of u.  A count is at most n < 256: no lane carries."""
+    raw = _mask_bytes(S)
+    arr = _read_bytes(_BYTE_MEMBERS, raw, np.empty(raw.size, np.uint64))
+    cnt = _read_bytes(_BYTE_COUNTS, raw, np.empty_like(arr))
+    for k in range(S.n - 3):  # bit k + 3 pairs runs of 2^k words
         _add_partner(cnt.reshape(-1, 2, 1 << k), arr.reshape(-1, 2, 1 << k))
-    return arr, cnt
+    return arr.view(np.uint8)[:1 << S.n], cnt.view(np.uint8)[:1 << S.n]
 
 
 def check_perfect(S: VertexSet) -> ColoringVerdict:

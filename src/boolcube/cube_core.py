@@ -61,12 +61,20 @@ class VertexSet:
         return VertexSet(self.n, _pack(_membership_array(self)[idx]))
 
 
+# The one byte layout of a mask: bit i of byte j is vertex 8j + i, and row
+# b of _BYTE_BITS holds the 8 bits of byte b.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
+def _mask_bytes(S: VertexSet) -> np.ndarray:
+    """The mask's little-endian bytes as uint8, at least one (n < 3)."""
+    return np.frombuffer(S.mask.to_bytes(max(1, (1 << S.n) >> 3), "little"),
+                         np.uint8)
+
+
 def _membership_array(S: VertexSet) -> np.ndarray:
     """uint8 0/1 table of S by vertex index (the mask unpacked)."""
-    size = 1 << S.n
-    raw = S.mask.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little", count=size)
+    return np.unpackbits(_mask_bytes(S), bitorder="little", count=1 << S.n)
 
 
 def _pack(member: np.ndarray) -> int:
@@ -104,17 +112,6 @@ def make_set(n: int, vertices) -> VertexSet:
         _check_vertex(v, n)
         mask |= 1 << vertex_index(v)
     return VertexSet(n, mask)
-
-
-def _low_bit_pattern(n: int, k: int) -> int:
-    """Bitmask over 2^n positions selecting indices whose bit k is 0."""
-    p = (1 << (1 << k)) - 1
-    span = 1 << (k + 1)
-    total = 1 << n
-    while span < total:
-        p |= p << span
-        span <<= 1
-    return p
 
 
 def complement(S: VertexSet) -> VertexSet:

@@ -9,8 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
-                        _low_bit_pattern, _membership_array, _pack,
-                        complement, vertex_index)
+                        _membership_array, _pack, complement, vertex_index)
 from .coloring import (ParameterMatrix, _all_subsets, check_perfect,
                        cor_from_matrix)
 from .theorem import _fdf_ok
@@ -32,12 +31,12 @@ class Construction:
 
 def _odd_parity_mask(n: int, v: int) -> int:
     """Bitmask over 2^n positions selecting indices i with popcount(i & v)
-    odd: the XOR, over the bits k of v, of the indices whose bit k is 1."""
-    full = (1 << (1 << n)) - 1
+    odd, one index bit k at a time: the 2^k indices with bit k set repeat
+    the parities of the 2^k below, flipped when bit k of v is set."""
     odd = 0
     for k in range(n):
-        if v >> k & 1:
-            odd ^= full ^ _low_bit_pattern(n, k)
+        w = 1 << k
+        odd |= (odd ^ ((1 << w) - 1) if v >> k & 1 else odd) << w
     return odd
 
 
@@ -79,7 +78,7 @@ def half_cube(n: int, coord: int = 1) -> VertexSet:
     _check_dimension(n)
     if not 1 <= coord <= n:
         raise ValueError("coordinate %r out of range" % (coord,))
-    return VertexSet(n, _low_bit_pattern(n, n - coord))
+    return complement(VertexSet(n, _odd_parity_mask(n, 1 << (n - coord))))
 
 
 def construct(c: Construction) -> VertexSet:

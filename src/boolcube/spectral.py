@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube_core import VertexSet
+from .cube_core import _BYTE_BITS, VertexSet, _mask_bytes
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,11 @@ def _butterfly(v: np.ndarray) -> None:
 
 
 # Levels 0-2 run inside chunks of 8 entries, on the mask bytes through
-# _BYTE_WHT: entry b is the 8-point transform of the bits of b (vertex
-# 8j + i is bit i of byte j) as 8 int8 values read as one uint64.
+# _BYTE_WHT: entry b is the 8-point transform of the bits of b as 8 int8
+# values read as one uint64.
 _H8 = np.where(np.bitwise_count(np.arange(8)[:, None] & np.arange(8)) & 1,
                -1, 1)
-_BYTE_WHT = (((np.arange(256)[:, None] >> np.arange(8)) & 1) @ _H8) \
-    .astype(np.int8).view(np.uint64).ravel()
+_BYTE_WHT = (_BYTE_BITS @ _H8).astype(np.int8).view(np.uint64).ravel()
 
 # (dtype, levels) of the butterfly's stages from level 3 up, each clipped
 # to the levels of the table.  After k levels a 0/1 table holds values in
@@ -57,7 +56,16 @@ _STAGES = ((np.int8, 3), (np.int16, 8), (np.int32, 64))
 TILE_BITS = 6    # a rotation copies 2^6 rows of its chunk matrix at a time
 WIDEN_BITS = 14  # a widening's blocks stop halving below 2^14 entries
 GROUP_BITS = 21  # levels run on row groups of at most 2^21 bytes (2 MB, L2)
-ROW_BITS = 16    # levels 0-2 and _dual_sums take about 2^16 items at a time
+ROW_BITS = 16    # byte tables are read, and D summed, 2^16 items at a time
+
+
+def _read_bytes(table: np.ndarray, raw: np.ndarray, out: np.ndarray):
+    """`out` = table[raw] for mask bytes `raw`, a vector or a matrix of rows,
+    about 2^ROW_BITS bytes at a time (np.take casts each to intp)."""
+    step = max(1, (1 << ROW_BITS) // raw[0].size)
+    for r in range(0, len(raw), step):
+        np.take(table, raw[r:r + step], out=out[r:r + step], mode="clip")
+    return out
 
 
 def _rotate(a: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
@@ -140,10 +148,7 @@ def _fwht_inplace(x: np.ndarray) -> np.ndarray:
     g = stages[0][1]
     a = table(stages[0][0])
     src = x.reshape(-1, 1 << g).T
-    dst = a.view(np.uint64).reshape(src.shape)
-    step = max(1, (1 << ROW_BITS) >> (c - g))
-    for r in range(0, 1 << g, step):
-        np.take(_BYTE_WHT, src[r:r + step], out=dst[r:r + step], mode="clip")
+    _read_bytes(_BYTE_WHT, src, a.view(np.uint64).reshape(src.shape))
     _levels(a, g)
     for dtype, g in stages[1:]:
         if g:
@@ -186,9 +191,7 @@ def transform(S: VertexSet) -> Spectrum:
     """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n)).
     Below n = 3 the mask is one byte, and the first 2^n entries of its
     8-point transform are the spectrum."""
-    raw = np.frombuffer(S.mask.to_bytes(max(1, (1 << S.n) >> 3), "little"),
-                        np.uint8)
-    return Spectrum(S.n, _fwht_inplace(raw)[:1 << S.n])
+    return Spectrum(S.n, _fwht_inplace(_mask_bytes(S))[:1 << S.n])
 
 
 def inverse_transform(sp: Spectrum):

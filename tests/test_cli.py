@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boolcube import VertexSet, cli, spectral
+from boolcube import SweepSummary, VertexSet, cli, spectral
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
 
@@ -130,6 +130,8 @@ def test_construct_invalid_exit2(capsys):
         (["half-cube"], "the half_cube construction needs n"),
         (["affine", "--v", "110"], "the affine construction needs n"),
         (["affine", "--n", "3"], "the affine construction needs v"),
+        (["affine", "--n", "3", "--v", "110", "--eps", "2"],
+         "eps must be 0 or 1"),
     ] + [(["hamming", "--m", str(m)], "hamming construction: m=%d gives "
           "dimension 2^m - 1 > 24" % m) for m in (6, 100, 100_000)]:
         code, out, err = run_cli(capsys, ["construct"] + argv)
@@ -358,6 +360,9 @@ def _peak_kb_in_a_fresh_process(argv):
     {"n": 1, "vertices": "01"},
     {"n": 3, "vertices": [1]},
     {"n": 25, "mask_hex": "00"},
+    [1, 2],  # not an object
+    {"n": 3, "mask_hex": 255},  # not a string
+    {"n": 3, "mask_hex": "0"},  # n = 3 needs 2 digits
     # JSON text nested past the recursion limit, which json.load reaches
     # before there is a document to check
     pytest.param("[" * 100000 + "]" * 100000, id="nested-1e5"),
@@ -385,6 +390,23 @@ def test_mask_hex_with_whitespace_exit2(tmp_path, capsys, doc):
     code, out, err = run_cli(capsys, ["analyze", str(path)])
     assert code == 2 and out == ""
     assert "bad hex digits in mask_hex" in err
+
+
+@pytest.mark.parametrize("violations,equality_cases,message", [
+    ((5, 9), 6, "VIOLATION at masks (5, 9)"),
+    ((), 5, "VIOLATION: equality cases != perfect colorings"),
+])
+def test_sweep_violation_exit5(monkeypatch, capsys, violations,
+                               equality_cases, message):
+    """Both VIOLATION branches, from a summary with a failing mask and from
+    one whose equality cases are not its perfect colorings."""
+    summary = SweepSummary(n=2, checked=14, equality_cases=equality_cases,
+                           perfect_count=6, violations=violations,
+                           bf_equality_cases=0)
+    monkeypatch.setattr(cli, "sweep", lambda n: summary)
+    code, out, err = run_cli(capsys, ["sweep", "--n", "2"])
+    assert code == 5 and "no violations" not in out
+    assert err == message + "\n"
 
 
 def test_sweep_out_of_range_exit2(capsys):

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +51,40 @@ def test_constructions_match_loop_reference():
         n = (1 << m) - 1
         assert hamming_code(m).mask == _loop_mask(
             n, lambda i: _syndrome(i, n) == 0)
+
+
+def _numpy_mask(member):
+    """The mask whose bit i is member[i], packed by numpy alone."""
+    bits = np.packbits(member.astype(np.uint8), bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)) + [20])
+def test_constructions_match_numpy_membership(n):
+    """affine_coloring and half_cube against a membership that numpy computes
+    from the bits of every index: the parity of i & v, and bit n - coord."""
+    idx = np.arange(1 << n)
+    rng = random.Random(n)
+    vis = {1, 1 << (n - 1), (1 << n) - 1, rng.randrange(1, 1 << n),
+           rng.randrange(1, 1 << n)}
+    for vi in sorted(vis):
+        odd = np.bitwise_count(idx & vi) & 1
+        for eps in (0, 1):
+            assert affine_coloring(n, index_to_vertex(vi, n), eps).mask \
+                == _numpy_mask(odd == eps)
+    for coord in sorted({1, (n + 1) // 2, n, rng.randint(1, n)}):
+        assert half_cube(n, coord).mask \
+            == _numpy_mask((idx >> (n - coord) & 1) == 0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_hamming_code_matches_numpy_membership(m):
+    """The syndrome of every index at once: the XOR of n - p over its set
+    bits p (bit p from the LSB is coordinate n - p); codewords have 0."""
+    n = (1 << m) - 1
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    syndrome = np.bitwise_xor.reduce(bits * (n - np.arange(n)), axis=1)
+    assert hamming_code(m).mask == _numpy_mask(syndrome == 0)
 
 
 def test_hamming_construction():
