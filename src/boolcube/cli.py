@@ -4,12 +4,13 @@ Exit codes: 0 ok, 2 parse/parameter error (a dimension outside [1, 24]
 for analyze and search or [1, 4] for search --exhaustive and sweep, or a
 construct parameter the kind does not take), 3 constant set or rejected
 dense set (--no-complement), 4 no (b, c) coloring on either search route
-(`Infeasible`), 5 sweep violation.
+(`Infeasible`), 5 sweep violation, 141 stdout closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -27,6 +28,7 @@ EXIT_PARSE = 2
 EXIT_CONSTANT = 3
 EXIT_INFEASIBLE = 4
 EXIT_VIOLATION = 5
+EXIT_PIPE = 141
 
 
 def _frac(x: Fraction) -> str:
@@ -237,7 +239,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="boolcube",
                                 description="Boolean n-cube set analyzer")
     p.add_argument("--version", action="version", version=__version__)
@@ -286,17 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
     """Run one command.  The parser is built once per process, and the
     command is looked up by name at call time, so a rebinding of
-    `cmd_<command>` in this module is the function that runs."""
+    `cmd_<command>` in this module is the function that runs.  A closed
+    stdout exits EXIT_PIPE; fd 1 then goes to os.devnull for the flush."""
     args = _parser().parse_args(argv)
-    return globals()["cmd_" + args.command](args)
+    try:
+        code = globals()["cmd_" + args.command](args)
+        print(end="", flush=True)  # a no-op if sys.stdout is None (fd 1 shut)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -47,10 +47,6 @@ _BYTE_MEMBERS = _BYTE_BITS.astype(np.uint8).view(np.uint64).ravel()
 _BYTE_COUNTS = (_BYTE_BITS @ _ADJ8).astype(np.uint8).view(np.uint64).ravel()
 
 
-def _add_partner(c: np.ndarray, a: np.ndarray) -> None:
-    c += a[:, ::-1]
-
-
 def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """(membership array, per-vertex count of in-S neighbors) over E^n, in
     uint8.  The byte tables give uint64 words of 8 lanes with index bits 0-2
@@ -60,7 +56,8 @@ def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     arr = _read_bytes(_BYTE_MEMBERS, raw, np.empty(raw.size, np.uint64))
     cnt = _read_bytes(_BYTE_COUNTS, raw, np.empty_like(arr))
     for k in range(S.n - 3):  # bit k + 3 pairs runs of 2^k words
-        _add_partner(cnt.reshape(-1, 2, 1 << k), arr.reshape(-1, 2, 1 << k))
+        pairs = cnt.reshape(-1, 2, 1 << k)
+        pairs += arr.reshape(-1, 2, 1 << k)[:, ::-1]
     return arr.view(np.uint8)[:1 << S.n], cnt.view(np.uint8)[:1 << S.n]
 
 
@@ -114,7 +111,8 @@ def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
     spec = member.astype(np.int32)
     for k in range(n):  # bit k of u pairs rows u and u ^ 2^k
         view = (-1, 2, nmasks << k)
-        _add_partner(cnt.reshape(view), member.reshape(view))
+        pairs = cnt.reshape(view)
+        pairs += member.reshape(view)[:, ::-1]
         _butterfly(spec.reshape(view))
     s = member.sum(axis=0, dtype=np.int64)
     n1 = (cnt * member).sum(axis=0, dtype=np.int64)  # cnt <= n: exact

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .cube_core import VertexSet
-from .spectral import Spectrum, _dual_sums
+from .spectral import ROW_BITS, Spectrum, _dual_sums
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ def krawtchouk(n: int) -> tuple:
 
 def distance_distribution(S: VertexSet) -> DistanceDistribution:
     """Exact ordered-pair counts N_i by a pairwise scan of the members: the
-    cross-check route, O(|S|^2) time, in chunks of about 2^22 pairs."""
+    cross-check route, O(|S|^2) time, about 2^ROW_BITS pairs at a time."""
     size = S.size
     if size == 0:
         raise ValueError("distance distribution undefined for the empty set")
     idxs = np.asarray(S.member_indices(), dtype=np.int64)
     counts = np.zeros(S.n + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // size)
+    chunk = max(1, (1 << ROW_BITS) // size)
     for lo in range(0, size, chunk):
         d = np.bitwise_count(idxs[lo:lo + chunk, None] ^ idxs[None, :])
         counts += np.bincount(d.ravel(), minlength=S.n + 1)[:S.n + 1]

@@ -53,10 +53,8 @@ _BYTE_WHT = (_BYTE_BITS @ _H8).astype(np.int8).view(np.uint64).ravel()
 # int32 (|a_hat| <= 2^n, exact to n = 30).
 _STAGES = ((np.int8, 3), (np.int16, 8), (np.int32, 64))
 
-TILE_BITS = 6    # a rotation copies 2^6 rows of its chunk matrix at a time
-WIDEN_BITS = 14  # a widening's blocks stop halving below 2^14 entries
 GROUP_BITS = 21  # levels run on row groups of at most 2^21 bytes (2 MB, L2)
-ROW_BITS = 16    # byte tables are read, and D summed, 2^16 items at a time
+ROW_BITS = 16    # every chunked copy, gather and sum moves 2^16 items a call
 
 
 def _read_bytes(table: np.ndarray, raw: np.ndarray, out: np.ndarray):
@@ -71,25 +69,24 @@ def _read_bytes(table: np.ndarray, raw: np.ndarray, out: np.ndarray):
 def _rotate(a: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
     """`out`, filled with `a` (2^c chunks of 8 int8 or int16 entries, one
     void item each) rotated right by g bits of the chunk index: the
-    (2^(c-g), 2^g) chunk matrix transposed, 2^TILE_BITS rows at a time."""
+    (2^(c-g), 2^g) chunk matrix transposed, 2^ROW_BITS chunks at a time."""
     item = np.dtype((np.void, 8 * a.itemsize))
     src = a.view(item).reshape(-1, 1 << g)
     dst = out.view(item).reshape(1 << g, -1)
-    for r in range(0, src.shape[0], 1 << TILE_BITS):
-        dst[:, r:r + (1 << TILE_BITS)] = src[r:r + (1 << TILE_BITS)].T
+    step = max(1, (1 << ROW_BITS) >> g)
+    for r in range(0, src.shape[0], step):
+        dst[:, r:r + step] = src[r:r + step].T
     return out
 
 
 def _widen(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`out`, filled with `a`.  `out` may start before `a` in one buffer and
-    end where it ends: the copy runs in blocks [N - 2h, N - h), h = N/2,
-    N/4, .., each ending where the unread part of `a` begins, and numpy
-    buffers the last, of under 2^(WIDEN_BITS + 1) entries."""
-    N, h = out.size, out.size // 2
-    while h >= 1 << WIDEN_BITS:
-        out[N - 2 * h:N - h] = a[N - 2 * h:N - h]
-        h //= 2
-    out[N - 2 * h:] = a[N - 2 * h:]
+    """`out`, filled with `a`, 2^ROW_BITS entries at a time in ascending
+    order.  `out` may start before `a` in one buffer and end where it ends:
+    each copy then ends before the unread part of `a` begins, and numpy
+    buffers the last, the one copy that overlaps its own source."""
+    step = 1 << ROW_BITS
+    for r in range(0, out.size, step):
+        out[r:r + step] = a[r:r + step]
     return out
 
 

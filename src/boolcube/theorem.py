@@ -48,7 +48,7 @@ class TheoremReport:
     distances: DistanceDistribution  # N, the inverse MacWilliams of dual
 
 
-def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, bool]:
+def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, int, bool]:
     size = S.size
     total = 1 << S.n
     if size == 0 or size == total:
@@ -58,8 +58,8 @@ def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, bool]:
         if not allow_complement:
             raise ValueError("density above 1/2; pass allow_complement=True "
                              "to analyze the complement")
-        return complement(S), True
-    return S, False
+        return complement(S), total - size, True
+    return S, size, False
 
 
 def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
@@ -68,8 +68,8 @@ def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
     its P_1 row, the bounds from (n, rho, cor).  T is perfect iff D lives on
     {0, k}; then b + c = 2k and rho = c/(b + c).  No neighbour scan runs:
     the scan `check_perfect` is the ground truth the tests compare with."""
-    T, swapped = _normalize(S, allow_complement)
-    n, size = T.n, T.size
+    T, size, swapped = _normalize(S, allow_complement)
+    n = T.n
     dual = macwilliams_from_spectrum(transform(T))
     distances = inverse_macwilliams(dual)
     n1 = distances.counts[1]

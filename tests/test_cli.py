@@ -483,6 +483,43 @@ def _fresh_process(argv):
     return p.returncode, p.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--json"],
+    ["construct", "hamming", "--m", "3"],
+    ["search", "--n", "4", "--b", "2", "--c", "2", "--max-results", "1"],
+    ["sweep", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    """A reader that has gone before the command writes: stdout is a pipe
+    whose read end is already closed, so the write, or main's flush, fails
+    with EPIPE."""
+    doc = json.dumps({"n": 7, "vertices": HAMMING7_WORDS})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        p = subprocess.run([sys.executable, "-m", "boolcube.cli"] + argv,
+                           input=doc, stdout=w, stderr=subprocess.PIPE,
+                           text=True, env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(w)
+    assert p.returncode == 141
+    assert cli.EXIT_PIPE == 141
+    assert "Traceback" not in p.stderr
+    assert "Exception ignored" not in p.stderr
+
+
+def test_no_stdout_at_all_exits_0():
+    """With fd 1 closed from the start Python sets sys.stdout to None, and
+    print writes nothing; main's flush must not fail on that."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    p = subprocess.run([sys.executable, "-m", "boolcube.cli", "construct",
+                        "hamming", "--m", "3"], stderr=subprocess.PIPE,
+                       text=True, env=dict(os.environ, PYTHONPATH=src),
+                       preexec_fn=lambda: os.close(1))
+    assert (p.returncode, p.stderr) == (0, "")
+
+
 def _in_process(capsys, argv):
     try:
         code = main(argv)

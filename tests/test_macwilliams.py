@@ -127,8 +127,12 @@ def test_routes_agree_exhaustive_small():
 
 def test_routes_agree_random():
     rng = random.Random(41)
-    for _ in range(30):
-        S = random_set(rng, rng.randint(1, 10))
+    sets = [random_set(rng, rng.randint(1, 10)) for _ in range(30)]
+    # 300 members: the pairwise scan takes 2^ROW_BITS // 300 = 218 rows of
+    # pairs per chunk, so its last chunk is a ragged one of 82 rows
+    members = rng.sample(range(1 << 12), 300)
+    sets.append(VertexSet(12, sum(1 << i for i in members)))
+    for S in sets:
         a = macwilliams_from_spectrum(transform(S))
         b = macwilliams_from_distances(distance_distribution(S))
         assert a == b

@@ -97,8 +97,8 @@ def test_byte_table_is_the_8_point_transform():
 
 
 # n counts the chunks: 2^n chunks of 8 entries, the table of an (n + 3)-cube,
-# so n = g is the one-row chunk matrix; n = 20 runs 2^14 tiles of
-# 2^TILE_BITS rows at g = 0 and 2^4 at g = 10
+# so n = g is the one-row chunk matrix; n = 20 runs 2^4 tiles of 2^ROW_BITS
+# chunks at every g, and the smaller tables one tile each
 @pytest.mark.parametrize("g", range(11))
 @pytest.mark.parametrize("rest", [0, 1, 4, None],
                          ids=["n=g", "n=g+1", "n=g+4", "n=20"])
