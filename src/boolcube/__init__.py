@@ -5,8 +5,7 @@ nei/cor/rho inequality with its equality criterion."""
 __version__ = "0.1.0"
 
 from .cube_core import N_MAX, VertexSet, complement, make_set
-from .spectral import (Spectrum, cor_order, cor_order_direct,
-                       inverse_transform, transform)
+from .spectral import Spectrum, cor_order, cor_order_direct, transform
 from .macwilliams import (DistanceDistribution, DualDistribution,
                           distance_distribution, inverse_macwilliams,
                           krawtchouk, macwilliams_from_distances,
@@ -15,6 +14,6 @@ from .coloring import (ColoringVerdict, ParameterMatrix, check_perfect,
                        cor_from_matrix, is_perfect_code)
 from .theorem import (SweepSummary, TheoremReport, code_rigidity, sweep,
                       verify)
-from .search import (Construction, Infeasible, SearchResult,
-                     affine_coloring, backtrack_search, construct,
-                     enumerate_perfect, half_cube, hamming_code)
+from .search import (Infeasible, SearchResult, affine_coloring,
+                     backtrack_search, construct, enumerate_perfect,
+                     half_cube, hamming_code)

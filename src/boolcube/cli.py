@@ -20,8 +20,8 @@ from . import __version__
 from .cube_core import VertexSet, _check_dimension, _mask_bytes, make_set
 from .coloring import ParameterMatrix
 from .theorem import sweep, verify
-from .search import (DEFAULT_BUDGET, Construction, Infeasible,
-                     backtrack_search, construct, enumerate_perfect)
+from .search import (DEFAULT_BUDGET, Infeasible, backtrack_search, construct,
+                     enumerate_perfect)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -150,9 +150,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
-        S = construct(Construction(args.kind.replace("-", "_"), n=args.n,
-                                   v=args.v, eps=args.eps, m=args.m,
-                                   coord=args.coord))
+        S = construct(args.kind.replace("-", "_"), n=args.n, v=args.v,
+                      eps=args.eps, m=args.m, coord=args.coord)
     except (TypeError, ValueError) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -9,7 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
-                        _membership_array, _pack, complement, vertex_index)
+                        _membership_array, _pack, complement, index_to_vertex,
+                        vertex_index)
 from .coloring import (ParameterMatrix, _all_subsets, check_perfect,
                        cor_from_matrix)
 from .theorem import _fdf_ok
@@ -17,16 +18,6 @@ from .theorem import _fdf_ok
 
 class Infeasible(ValueError):
     """No perfect coloring has the target (b, c) in this dimension."""
-
-
-@dataclass(frozen=True)
-class Construction:
-    kind: str  # "affine" | "hamming" | "half_cube"
-    n: Optional[int] = None
-    v: Optional[str] = None      # affine: the defining vector
-    eps: Optional[int] = None    # affine: the constant term
-    m: Optional[int] = None      # hamming: n = 2^m - 1
-    coord: Optional[int] = None  # half_cube: the pinned coordinate
 
 
 def _odd_parity_mask(n: int, v: int) -> int:
@@ -74,28 +65,29 @@ def affine_coloring(n: int, v: str, eps: int = 0) -> VertexSet:
 
 
 def half_cube(n: int, coord: int = 1) -> VertexSet:
-    """{x : x_coord = 0}; the face coloring with b = c = 1."""
+    """{x : x_coord = 0}, the affine coloring of e_coord: b = c = 1."""
     _check_dimension(n)
     if not 1 <= coord <= n:
         raise ValueError("coordinate %r out of range" % (coord,))
-    return complement(VertexSet(n, _odd_parity_mask(n, 1 << (n - coord))))
+    return affine_coloring(n, index_to_vertex(1 << (n - coord), n))
 
 
-def construct(c: Construction) -> VertexSet:
-    """Call the kind's builder; its signature names the kind's parameters,
-    which of them are required, and the defaults of the rest."""
+def construct(kind: str, **params) -> VertexSet:
+    """Call the kind's builder on the params that are not None.  Its
+    signature names the kind's parameters (the first other one given is
+    rejected), which of them are required, and the defaults of the rest."""
     build = {"hamming": hamming_code, "affine": affine_coloring,
-             "half_cube": half_cube}.get(c.kind)
+             "half_cube": half_cube}.get(kind)
     if build is None:
-        raise ValueError("unknown construction kind %r" % (c.kind,))
-    params = inspect.signature(build).parameters
-    given = {k: v for k, v in vars(c).items() if v is not None and k != "kind"}
+        raise ValueError("unknown construction kind %r" % (kind,))
+    takes = inspect.signature(build).parameters
+    given = {k: v for k, v in params.items() if v is not None}
     for name in given:
-        if name not in params:
-            raise ValueError("the %s construction takes no %s" % (c.kind, name))
-    for name, p in params.items():
+        if name not in takes:
+            raise ValueError("the %s construction takes no %s" % (kind, name))
+    for name, p in takes.items():
         if name not in given and p.default is p.empty:
-            raise ValueError("the %s construction needs %s" % (c.kind, name))
+            raise ValueError("the %s construction needs %s" % (kind, name))
     S = build(**given)
     assert check_perfect(S).is_perfect
     return S

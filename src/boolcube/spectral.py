@@ -3,7 +3,6 @@ correlation-immunity order, with a face-counting brute-force cross-check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -21,7 +20,7 @@ class Spectrum:
     6-13 in int16 and 14 up in int32 (see `_STAGES`).  `coeffs` is the
     transform's whole work buffer, 4 bytes per entry.  A square does not
     fit (a_hat(0)^2 = |S|^2), so callers widen to int64 before squaring,
-    as `_dual_sums` does, or before summing, as `inverse_transform` does.
+    as `_dual_sums` does.
     """
     n: int
     coeffs: np.ndarray
@@ -189,28 +188,6 @@ def transform(S: VertexSet) -> Spectrum:
     Below n = 3 the mask is one byte, and the first 2^n entries of its
     8-point transform are the spectrum."""
     return Spectrum(S.n, _fwht_inplace(_mask_bytes(S))[:1 << S.n])
-
-
-def inverse_transform(sp: Spectrum):
-    """Reconstruct the function table from a spectrum.
-
-    Returns a VertexSet when the reconstruction is 0/1-valued, otherwise the
-    full table of exact rationals (the non-Boolean case).  The plain
-    butterfly runs on the coefficients widened to int64 once: 8 bytes per
-    entry beside the spectrum, freed before the mask is built.
-    """
-    size = 1 << sp.n
-    vals = sp.coeffs[:size].astype(np.int64)
-    for k in range(sp.n):
-        _butterfly(vals.reshape(-1, 2, 1 << k))  # ends as 2^n * a(u)
-    # 0/1-valued: all values in [0, 2^n], and the nonzero ones sum to 2^n
-    # each (four reductions, and no table of 2^n entries beside vals)
-    if vals.min() >= 0 and vals.max() <= size and \
-            int(vals.sum()) == size * np.count_nonzero(vals):
-        bits = np.packbits(vals, bitorder="little")
-        del vals  # frees the int64 table before the mask is built
-        return VertexSet(sp.n, int.from_bytes(bits.tobytes(), "little"))
-    return [Fraction(int(v), size) for v in vals]
 
 
 def cor_order(S: VertexSet) -> int:

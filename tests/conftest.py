@@ -48,6 +48,20 @@ def naive_transform(S: VertexSet) -> list:
     return out
 
 
+def fwht_int64(a: np.ndarray) -> np.ndarray:
+    """The plain int64 butterfly on (-1, 2, step) views, one level at a time:
+    the test-side reference for the transform, and its inverse up to a
+    factor 2^n, as H H = 2^n I."""
+    a = a.astype(np.int64)
+    step = 1
+    while step < a.shape[0]:
+        b = a.reshape(-1, 2, step)
+        x, y = b[:, 0].copy(), b[:, 1].copy()
+        b[:, 0], b[:, 1] = x + y, x - y
+        step *= 2
+    return a
+
+
 def pairwise_distance_counts(S: VertexSet) -> list:
     """O(|S|^2) ordered-pair scan: the oracle for distance distributions."""
     members = S.member_indices()
@@ -63,6 +77,13 @@ def membership(S: VertexSet) -> np.ndarray:
     raw = S.mask.to_bytes(((1 << S.n) + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          bitorder="little", count=1 << S.n)
+
+
+def round_trips(sp, S: VertexSet) -> bool:
+    """The butterfly of the spectrum sp gives back 2^n times the table of S,
+    position by position."""
+    return np.array_equal(fwht_int64(sp.coeffs),
+                          membership(S).astype(np.int64) << S.n)
 
 
 def n1_direct(T: VertexSet) -> int:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolcube import (N_MAX, Construction, Infeasible, ParameterMatrix,
-                      VertexSet, affine_coloring, backtrack_search,
-                      check_perfect, construct, cor_from_matrix, cor_order,
+from boolcube import (N_MAX, Infeasible, ParameterMatrix, VertexSet,
+                      affine_coloring, backtrack_search, check_perfect,
+                      construct, cor_from_matrix, cor_order,
                       enumerate_perfect, half_cube, hamming_code, verify)
 from boolcube.cube_core import index_to_vertex
 from boolcube.search import _check_feasible, canonical_mask
@@ -130,48 +130,58 @@ def test_half_cube_construction():
     assert all(m[1] == "0" for m in S2.members())
 
 
+def test_half_cube_checks_the_dimension_before_the_coordinate():
+    for n in (25, 0):
+        with pytest.raises(ValueError,
+                           match=r"^dimension %d out of range \[1, 24\]$" % n):
+            half_cube(n)
+    with pytest.raises(ValueError, match="^coordinate 4 out of range$"):
+        half_cube(3, 4)
+
+
 def test_construct_dispatch():
-    assert construct(Construction("hamming", m=3)).size == 16
-    assert construct(Construction("affine", n=3, v="110")).size == 4
-    assert construct(Construction("half_cube", n=4, coord=2)).size == 8
+    assert construct("hamming", m=3).size == 16
+    assert construct("affine", n=3, v="110").size == 4
+    assert construct("half_cube", n=4, coord=2).size == 8
     with pytest.raises(ValueError):
-        construct(Construction("nope"))
+        construct("nope")
     with pytest.raises(ValueError):
-        construct(Construction("hamming", m=1))
+        construct("hamming", m=1)
     with pytest.raises(ValueError):
-        construct(Construction("affine", n=3, v="000"))
+        construct("affine", n=3, v="000")
     with pytest.raises(ValueError):
-        construct(Construction("half_cube", n=3, coord=5))
-    for c, message in [
-        (Construction("hamming"), "the hamming construction needs m"),
-        (Construction("half_cube"), "the half_cube construction needs n"),
-        (Construction("affine", v="110"), "the affine construction needs n"),
-        (Construction("affine", n=3), "the affine construction needs v"),
-    ] + [(Construction("hamming", m=m), r"^hamming construction: m=%d gives "
+        construct("half_cube", n=3, coord=5)
+    for kind, params, message in [
+        ("hamming", {}, "the hamming construction needs m"),
+        ("half_cube", {}, "the half_cube construction needs n"),
+        ("affine", {"v": "110"}, "the affine construction needs n"),
+        ("affine", {"n": 3}, "the affine construction needs v"),
+    ] + [("hamming", {"m": m}, r"^hamming construction: m=%d gives "
           r"dimension 2\^m - 1 > 24$" % m) for m in (6, 100, 100_000)]:
         with pytest.raises(ValueError, match=message):
-            construct(c)
+            construct(kind, **params)
 
 
+# the first parameter given that the kind does not take is the one named
 @pytest.mark.parametrize("c,name", [
-    (Construction("hamming", m=2, n=9, v="1", coord=7), "n"),
-    (Construction("hamming", m=3, eps=0), "eps"),
-    (Construction("affine", n=3, v="110", m=2), "m"),
-    (Construction("affine", n=3, v="110", coord=1), "coord"),
-    (Construction("half_cube", n=3, v="110"), "v"),
-    (Construction("half_cube", n=2, m=40, eps=1), "eps"),
+    (("hamming", {"m": 2, "n": 9, "v": "1", "coord": 7}), "n"),
+    (("hamming", {"m": 3, "eps": 0}), "eps"),
+    (("affine", {"n": 3, "v": "110", "m": 2}), "m"),
+    (("affine", {"n": 3, "v": "110", "coord": 1}), "coord"),
+    (("half_cube", {"n": 3, "v": "110"}), "v"),
+    (("half_cube", {"n": 2, "m": 40, "eps": 1}), "m"),
 ])
 def test_construct_rejects_another_kinds_parameter(c, name):
+    kind, params = c
     with pytest.raises(ValueError, match="^the %s construction takes no %s$"
-                       % (c.kind, name)):
-        construct(c)
+                       % (kind, name)):
+        construct(kind, **params)
 
 
 def test_construct_defaults_come_from_the_builders():
-    assert construct(Construction("affine", n=3, v="110")).mask == \
+    assert construct("affine", n=3, v="110").mask == \
         affine_coloring(3, "110", 0).mask
-    assert construct(Construction("half_cube", n=3)).mask == \
-        half_cube(3, 1).mask
+    assert construct("half_cube", n=3).mask == half_cube(3, 1).mask
 
 
 def test_enumerate_n2_antipodal():

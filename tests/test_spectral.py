@@ -1,16 +1,16 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolcube import (VertexSet, complement, cor_order, cor_order_direct,
-                      inverse_transform, make_set, spectral, transform)
+                      make_set, spectral, transform)
 from boolcube.cube_core import index_to_vertex, vertex_index
 from boolcube.spectral import _index_classes, _rotate, _widen
 
-from conftest import membership, naive_transform, random_set
+from conftest import (fwht_int64, membership, naive_transform, random_set,
+                      round_trips)
 
 
 def test_transform_n1():
@@ -49,18 +49,6 @@ def test_butterfly_matches_naive():
             assert list(transform(S).coeffs) == naive_transform(S)
 
 
-def _fwht_int64_oracle(a: np.ndarray) -> np.ndarray:
-    """The plain int64 butterfly on (-1, 2, step) views, one level at a time."""
-    a = a.astype(np.int64)
-    step = 1
-    while step < a.shape[0]:
-        b = a.reshape(-1, 2, step)
-        x, y = b[:, 0].copy(), b[:, 1].copy()
-        b[:, 0], b[:, 1] = x + y, x - y
-        step *= 2
-    return a
-
-
 @pytest.mark.parametrize("n", range(1, 17))
 def test_transform_is_int32(n):
     """int32 and read-only at every n, also at n <= 6, where the int16 and
@@ -84,7 +72,7 @@ def test_blocked_transform_matches_int64_butterfly(n):
     for S in (random_set(rng, n), VertexSet(n, 1 << rng.randrange(1 << n)),
               VertexSet(n, (1 << (1 << n)) - 1)):
         assert np.array_equal(transform(S).coeffs,
-                              _fwht_int64_oracle(membership(S)))
+                              fwht_int64(membership(S)))
 
 
 def test_byte_table_is_the_8_point_transform():
@@ -93,7 +81,7 @@ def test_byte_table_is_the_8_point_transform():
     table = spectral._BYTE_WHT.view(np.int8).reshape(256, 8)
     for b in range(256):
         bits = np.array([(b >> i) & 1 for i in range(8)])
-        assert np.array_equal(table[b], _fwht_int64_oracle(bits))
+        assert np.array_equal(table[b], fwht_int64(bits))
 
 
 # n counts the chunks: 2^n chunks of 8 entries, the table of an (n + 3)-cube,
@@ -159,13 +147,13 @@ def test_row_groups_match_int64_butterfly(monkeypatch, n, group_bits):
     from n = 20 on (int32; int16 from n = 21, int8 from n = 22); smaller
     values split the stages here, down to one level per group: at 15,
     n = 17 runs each of the int8 stage's 3 levels as its own part, the
-    int16 stage in 2 parts and the int32 stage in 3.  The inverse runs no
-    row groups; its round trip checks the split spectrum once more."""
+    int16 stage in 2 parts and the int32 stage in 3.  The round trip
+    through the int64 butterfly checks the split spectrum once more."""
     monkeypatch.setattr(spectral, "GROUP_BITS", group_bits)
     S = random_set(random.Random(group_bits * n), n)
     assert np.array_equal(transform(S).coeffs,
-                          _fwht_int64_oracle(membership(S)))
-    assert inverse_transform(transform(S)) == S
+                          fwht_int64(membership(S)))
+    assert round_trips(transform(S), S)
 
 
 @st.composite
@@ -178,8 +166,8 @@ def masks_up_to_n12(draw):
 @given(masks_up_to_n12())
 def test_staged_transform_matches_int64_butterfly_and_inverts(S):
     sp = transform(S)
-    assert np.array_equal(sp.coeffs, _fwht_int64_oracle(membership(S)))
-    assert inverse_transform(sp) == S
+    assert np.array_equal(sp.coeffs, fwht_int64(membership(S)))
+    assert round_trips(sp, S)
 
 
 def test_parseval():
@@ -200,28 +188,12 @@ def test_round_trip():
     for n in range(1, 4):
         for mask in range(1 << (1 << n)):
             S = VertexSet(n, mask)
-            assert inverse_transform(transform(S)) == S
+            assert round_trips(transform(S), S)
     for _ in range(30):
         S = random_set(rng, rng.randint(1, 12), nonconstant=False)
-        assert inverse_transform(transform(S)) == S
+        assert round_trips(transform(S), S)
     S = random_set(rng, 18)
-    assert inverse_transform(transform(S)) == S
-
-
-def test_inverse_special_spectra():
-    from boolcube.spectral import Spectrum
-    empty = inverse_transform(Spectrum(3, np.zeros(8, dtype=np.int64)))
-    assert empty == VertexSet(3, 0)
-    dc = np.zeros(8, dtype=np.int64)
-    dc[0] = 8
-    assert inverse_transform(Spectrum(3, dc)) == complement(VertexSet(3, 0))
-
-
-def test_inverse_non_boolean_reconstruction():
-    from boolcube.spectral import Spectrum
-    sp = Spectrum(2, np.array([1, 0, 0, 0], dtype=np.int64))
-    vals = inverse_transform(sp)
-    assert vals == [Fraction(1, 4)] * 4
+    assert round_trips(transform(S), S)
 
 
 def test_cor_order_hamming(hamming7):
