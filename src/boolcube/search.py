@@ -207,6 +207,31 @@ def _check_feasible(n: int, target: ParameterMatrix) -> int:
 
 
 DEFAULT_BUDGET = 10 ** 7  # nodes; also the CLI's --budget default
+BLOCK_BITS = 6  # backtrack_search keeps the rooms of 2^6 vertices in one int
+WIDTH = 1 << BLOCK_BITS
+ONES = (1 << 16 * WIDTH) // 255  # 1 in each byte lane: (color, vertex)
+# per lane (color * WIDTH + vertex), the lanes of its neighbors in the block
+LANE_NEIGHBORS = tuple(tuple(lane ^ 1 << k for k in range(BLOCK_BITS))
+                       for lane in range(2 * WIDTH))
+
+
+def _cross(packed: list, rows: list, color: bytearray, d: int, step: int,
+           flips: list) -> tuple:
+    """Cross the block boundary at vertex d up (step 1) or down (-1): write
+    back the rows of the block left, move the colors of the lower block into
+    (out of) its neighbor blocks' rooms, and open the other block: its rows,
+    and flags on the lanes whose neighbor in another block has no room."""
+    done = (d >> BLOCK_BITS) - 1
+    packed[done + (step < 0)] = int.from_bytes(bytearray(rows), "little")
+    in_s = int.from_bytes(color[d - WIDTH:d], "little")
+    taken = step * ((ONES >> 8 * WIDTH) - in_s + (in_s << 8 * WIDTH))
+    new, full = done + (step > 0), -1
+    for f in flips:
+        packed[done ^ f] -= taken
+    for f in flips:  # rooms are < 128: + 127 sets the top bit iff not 0
+        full &= packed[new ^ f] + 127 * ONES
+    return (list(packed[new].to_bytes(2 * WIDTH, "little")),
+            (~full >> 7 & ONES).to_bytes(2 * WIDTH, "little"))
 
 
 def backtrack_search(n: int, target: ParameterMatrix,
@@ -224,15 +249,13 @@ def backtrack_search(n: int, target: ParameterMatrix,
     or `max_results` colorings; `stop_reason` says which, or "complete".
 
     The traversal is one loop over an explicit cursor (depth d, color to
-    try next): the colors assigned so far, 2^n bytes, are the stack, and
-    neighbors are computed as d ^ 2^k, with no per-vertex table and no
-    recursion.  Besides the colors it keeps two 2^n-entry room lists:
-    room1[u] (room0[u]) is how many more in-S (out-of-S) neighbors u may
-    still take, up to max(need) (n - min(need)) while u is undecided and
-    shrunk to its color's need once it is colored.  Coloring d takes one
-    unit from the room of d's color at each neighbor; a room below zero is
-    exactly a requirement that can no longer be met.  Prunes per rule and
-    the deepest accepted node are counted on prune and retreat paths only.
+    try next), with the colors so far (2^n bytes) as its stack.  A vertex's
+    room for a color is how many more neighbors of that color it can take
+    and still meet a requirement (its own, once it is colored).  The rooms
+    of a block of 2^BLOCK_BITS vertices are one int, a byte lane per (color,
+    vertex).  d's block is open as a list; its neighbors in other blocks are
+    checked by one flag, and lose their room when the block is left upward.
+    Prunes and the deepest node are counted on prune and retreat paths only.
     """
     _check_dimension(n)
     if max_results is not None and max_results < 1:
@@ -246,17 +269,22 @@ def backtrack_search(n: int, target: ParameterMatrix,
     # what coloring d with each color takes from d's own two rooms
     drop1 = (hi_need - need[0], hi_need - need[1])
     drop0 = (need[0] - lo_need, need[1] - lo_need)
-    bits = [1 << k for k in range(n)]
+    # below 2^BLOCK_BITS vertices, one block, part of it unused
+    nbrs = [lanes[:n] for lanes in LANE_NEIGHBORS] if n < BLOCK_BITS \
+        else LANE_NEIGHBORS
+    flips = [1 << k for k in range(n - BLOCK_BITS)]  # to the neighbor blocks
+    packed = [((hi_need << 8 * WIDTH) + n - lo_need) * (ONES >> 8 * WIDTH)
+              ] * max(1, size >> BLOCK_BITS)
+    rows = list(packed[0].to_bytes(2 * WIDTH, "little"))
+    flags = bytes(2 * WIDTH)  # no room starts at 0, as b, c >= 1
 
     color = bytearray(size)  # meaningful below the cursor only
-    room0 = [n - lo_need] * size
-    room1 = [hi_need] * size
-    rooms = (room0, room1)
     found: list[VertexSet] = []
     nodes = in_s = max_depth = 0
     balance = own = neighbour = 0
     stop = "complete"
-    d, col = 0, 1
+    d = low = 0
+    col = 1
     while True:
         if col == 1 and in_s >= s_target:
             balance += 1
@@ -269,34 +297,37 @@ def backtrack_search(n: int, target: ParameterMatrix,
             if nodes > budget:
                 stop = "budget"
                 break
-            own1 = room1[d] - drop1[col]
-            own0 = room0[d] - drop0[col]
+            own1 = rows[WIDTH + low] - drop1[col]
+            own0 = rows[low] - drop0[col]
             if own1 < 0 or own0 < 0:
                 own += 1
                 col -= 1
                 continue
-            room = rooms[col]
-            for bit in bits:
-                u = d ^ bit
-                left = room[u] - 1
-                room[u] = left
-                if left < 0:
+            lane = WIDTH + low if col else low
+            left = -flags[lane]  # -1: a neighbor in another block is full
+            for u in () if left else nbrs[lane]:
+                left = rows[u] - 1
+                rows[u] = left
+                if left < 0:  # give back what it took, up to u
+                    for v in nbrs[lane]:
+                        rows[v] += 1
+                        if v == u:
+                            break
                     break
             if left < 0:
-                # give back the room taken so far, from this neighbor down
                 neighbour += 1
-                while bit:
-                    room[d ^ bit] += 1
-                    bit >>= 1
                 col -= 1
                 continue
             color[d] = col
             in_s += col
-            room1[d] = own1
-            room0[d] = own0
+            rows[WIDTH + low] = own1
+            rows[low] = own0
             if d + 1 < size:
                 d += 1
+                low = d & (WIDTH - 1)
                 col = 1
+                if not low:
+                    rows, flags = _cross(packed, rows, color, d, 1, flips)
                 continue
             S = VertexSet(n, _pack(np.frombuffer(color, dtype=np.uint8)))
             verdict = check_perfect(S)
@@ -312,15 +343,17 @@ def backtrack_search(n: int, target: ParameterMatrix,
         else:
             if d > max_depth:
                 max_depth = d
+            if not low:
+                rows, flags = _cross(packed, rows, color, d, -1, flips)
             d -= 1
+            low = d & (WIDTH - 1)
         # retract the color of d and go on to the next one
         col = color[d]
         in_s -= col
-        room = rooms[col]
-        for bit in bits:
-            room[d ^ bit] += 1
-        room1[d] += drop1[col]
-        room0[d] += drop0[col]
+        for u in nbrs[WIDTH + low if col else low]:
+            rows[u] += 1
+        rows[WIDTH + low] += drop1[col]
+        rows[low] += drop0[col]
         col -= 1
     max_depth = max(max_depth, d)
     sets = _dedupe_canonical(found) if canonical else found

@@ -56,8 +56,10 @@ def fwht_int64(a: np.ndarray) -> np.ndarray:
     step = 1
     while step < a.shape[0]:
         b = a.reshape(-1, 2, step)
-        x, y = b[:, 0].copy(), b[:, 1].copy()
-        b[:, 0], b[:, 1] = x + y, x - y
+        x, y = b[:, 0], b[:, 1]  # views: each level runs in place
+        x += y
+        y *= -2
+        y += x
         step *= 2
     return a
 

@@ -329,13 +329,14 @@ def test_analyze_n24_peak_rss_in_a_fresh_process(tmp_path, make_doc):
 
 
 def test_search_n24_peak_rss_in_a_fresh_process():
-    # The search keeps two room lists of 2^24 Python-list slots (128 MB
-    # each) and 2^24 colour bytes (16 MB): about 309 MB in all, where a
-    # third list of 2^24 entries would pass 384 MB.
+    # The search keeps 2^24 colour bytes (16 MB) and one packed int of
+    # rooms per 64-vertex block, 2^18 list slots (2 MB) that share one int
+    # until a block is left: about 48 MB in all, where one list of 2^24
+    # Python-list slots more (128 MB) would pass 128 MB.
     code, peak_kb = _peak_kb_in_a_fresh_process(
         ["search", "--n", "24", "--b", "12", "--c", "12", "--budget", "10"])
     assert code == 0
-    assert peak_kb <= 384 * 1024
+    assert peak_kb <= 128 * 1024
 
 
 def _peak_kb_in_a_fresh_process(argv):

@@ -12,6 +12,7 @@ from boolcube import (N_MAX, Infeasible, ParameterMatrix, VertexSet,
                       affine_coloring, backtrack_search, check_perfect,
                       construct, cor_from_matrix, cor_order,
                       enumerate_perfect, half_cube, hamming_code, verify)
+from boolcube import search
 from boolcube.cube_core import index_to_vertex
 from boolcube.search import _check_feasible, canonical_mask
 
@@ -495,7 +496,10 @@ def _feasible_targets(draw):
 @given(_feasible_targets(), st.integers(0, 20000),
        st.one_of(st.none(), st.integers(1, 40)))
 def test_backtrack_matches_two_counter_reference(target, budget, max_results):
-    target, s_target = target
+    _assert_matches_reference(*target, budget, max_results)
+
+
+def _assert_matches_reference(target, s_target, budget, max_results):
     n = target.n
     r = backtrack_search(n, target, budget=budget, max_results=max_results)
     nodes, stop, masks, prunes, max_depth = reference_backtrack(
@@ -504,6 +508,36 @@ def test_backtrack_matches_two_counter_reference(target, budget, max_results):
     assert [S.mask for S in r.found] == masks
     assert (r.balance_prunes, r.own_prunes, r.neighbour_prunes) == prunes
     assert r.max_depth == max_depth
+
+
+# Targets past one 2^BLOCK_BITS-vertex block (n = 7..11) whose search goes
+# back below a block boundary and later crosses it again: b < c budget
+# misses ((10, 2, 6) reaches depth 272 > 256), and runs that go on past a
+# first coloring.
+@pytest.mark.parametrize("n,b,c,budget,max_results", [
+    (7, 3, 3, 20000, 7),
+    (8, 4, 4, 20000, 10),
+    (9, 1, 1, 20000, 4),
+    (9, 6, 2, 20000, 3),
+    (10, 2, 6, 4096, 1),
+    (10, 1, 1, 20000, 6),
+    (11, 3, 9, 8192, 1),
+    (11, 2, 2, 20000, 3),
+])
+def test_backtrack_matches_reference_across_block_boundaries(
+        monkeypatch, n, b, c, budget, max_results):
+    steps = []
+    cross = search._cross
+
+    def logged(packed, rows, color, d, step, flips):
+        steps.append(step)
+        return cross(packed, rows, color, d, step, flips)
+
+    monkeypatch.setattr(search, "_cross", logged)
+    target = ParameterMatrix(n, b, c)
+    _assert_matches_reference(target, _check_feasible(n, target), budget,
+                              max_results)
+    assert 1 in steps[steps.index(-1):]  # down out of a block, then up again
 
 
 def test_canonical_mask_matches_reference_on_e4_colorings():
