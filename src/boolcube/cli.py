@@ -207,6 +207,8 @@ def cmd_search(args) -> int:
                        "own": result.own_prunes,
                        "neighbour": result.neighbour_prunes},
             "max_depth": result.max_depth,
+            "blocks": {"recorded": result.blocks_recorded,
+                       "replayed": result.blocks_replayed},
             "stop_reason": result.stop_reason,
         }, sort_keys=True), file=sys.stderr)
     return EXIT_OK
@@ -280,8 +282,8 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--as-mask", action="store_true")
     ps.add_argument("--trace", action="store_true",
                     help="print the search's nodes, prunes per rule, "
-                         "deepest node and stop reason as one JSON line "
-                         "on stderr")
+                         "deepest node, recorded and replayed blocks and "
+                         "stop reason as one JSON line on stderr")
 
     pw = sub.add_parser("sweep", help="exhaustive theorem validation")
     pw.add_argument("--n", type=int, required=True)

@@ -109,6 +109,10 @@ class SearchResult:
     own_prunes: int = 0
     neighbour_prunes: int = 0
     max_depth: int = 0
+    # backtrack_search only: 64-vertex blocks whose first way up was
+    # recorded, and block entries that replayed one
+    blocks_recorded: int = 0
+    blocks_replayed: int = 0
 
     @property
     def exhaustive(self) -> bool:
@@ -256,6 +260,16 @@ def backtrack_search(n: int, target: ParameterMatrix,
     vertex).  d's block is open as a list; its neighbors in other blocks are
     checked by one flag, and lose their room when the block is left upward.
     Prunes and the deepest node are counted on prune and retreat paths only.
+
+    From an upward entry into a block to its first exit, the search reads
+    only the block's rooms and flags and the two balance margins, clipped at
+    the block width.  The first such run from each entry state is recorded:
+    the block's colors, its exit rows and the counts it added.  An entry
+    from a recorded state replays it, unless it would pass the budget or the
+    block is the last, which holds the leaves.  A block that fails, a
+    budget stop and a resume from above record nothing.  The deepest node
+    needs no record: a replayed block's retreats lie below its exit, which
+    counts as deeper before any later retreat or stop.
     """
     _check_dimension(n)
     if max_results is not None and max_results < 1:
@@ -285,6 +299,9 @@ def backtrack_search(n: int, target: ParameterMatrix,
     stop = "complete"
     d = low = 0
     col = 1
+    memo = {}  # block entry state -> its first way up
+    rec = None  # the entry being recorded: its key and the counts then
+    replayed = 0
     while True:
         if col == 1 and in_s >= s_target:
             balance += 1
@@ -327,7 +344,30 @@ def backtrack_search(n: int, target: ParameterMatrix,
                 low = d & (WIDTH - 1)
                 col = 1
                 if not low:
+                    if rec is not None:  # the recorded block's first way up
+                        memo[rec[0]] = (bytes(color[d - WIDTH:d]), bytes(rows),
+                                        in_s - rec[1], nodes - rec[2],
+                                        balance - rec[3], own - rec[4],
+                                        neighbour - rec[5])
+                        rec = None
                     rows, flags = _cross(packed, rows, color, d, 1, flips)
+                    while d + WIDTH < size:
+                        key = (packed[d >> BLOCK_BITS], flags,
+                               min(s_target - in_s, WIDTH),
+                               min(in_s + size - d - s_target, WIDTH))
+                        hit = memo.get(key)
+                        if hit is None:
+                            rec = (key, in_s, nodes, balance, own, neighbour)
+                            break
+                        if nodes + hit[3] > budget:
+                            break
+                        color[d:d + WIDTH] = hit[0]
+                        d += WIDTH
+                        in_s, nodes, balance, own, neighbour = (
+                            in_s + hit[2], nodes + hit[3], balance + hit[4],
+                            own + hit[5], neighbour + hit[6])
+                        replayed += 1
+                        rows, flags = _cross(packed, hit[1], color, d, 1, flips)
                 continue
             S = VertexSet(n, _pack(np.frombuffer(color, dtype=np.uint8)))
             verdict = check_perfect(S)
@@ -345,6 +385,7 @@ def backtrack_search(n: int, target: ParameterMatrix,
                 max_depth = d
             if not low:
                 rows, flags = _cross(packed, rows, color, d, -1, flips)
+                rec = None  # the recorded block, if any, failed
             d -= 1
             low = d & (WIDTH - 1)
         # retract the color of d and go on to the next one
@@ -359,4 +400,5 @@ def backtrack_search(n: int, target: ParameterMatrix,
     sets = _dedupe_canonical(found) if canonical else found
     return SearchResult(n, target, tuple(sets), stop_reason=stop, nodes=nodes,
                         balance_prunes=balance, own_prunes=own,
-                        neighbour_prunes=neighbour, max_depth=max_depth)
+                        neighbour_prunes=neighbour, max_depth=max_depth,
+                        blocks_recorded=len(memo), blocks_replayed=replayed)

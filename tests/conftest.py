@@ -83,9 +83,14 @@ def membership(S: VertexSet) -> np.ndarray:
 
 def round_trips(sp, S: VertexSet) -> bool:
     """The butterfly of the spectrum sp gives back 2^n times the table of S,
-    position by position."""
-    return np.array_equal(fwht_int64(sp.coeffs),
-                          membership(S).astype(np.int64) << S.n)
+    position by position: the high bits of each entry are S's bit there, and
+    its low n bits are 0.  Checked in chunks of 2^16 entries, so that the
+    int64 table of the butterfly is the only one held."""
+    a, member, low = fwht_int64(sp.coeffs), membership(S), (1 << S.n) - 1
+    chunks = ((a[i:i + (1 << 16)], member[i:i + (1 << 16)])
+              for i in range(0, a.shape[0], 1 << 16))
+    return all(np.array_equal(x >> S.n, m) and not (x & low).any()
+               for x, m in chunks)
 
 
 def n1_direct(T: VertexSet) -> int:

@@ -197,9 +197,12 @@ def test_search_trace_leaves_stdout_unchanged(capsys, argv):
     summary = json.loads(plain)["summary"]
     assert trace["nodes"] == summary["nodes"]
     assert set(trace["prunes"]) == {"balance", "own", "neighbour"}
+    assert set(trace["blocks"]) == {"recorded", "replayed"}
     assert (trace["stop_reason"] == "complete") == summary["exhaustive"]
     if summary["found"]:
         assert trace["max_depth"] == 1 << summary["n"]
+    if summary["n"] == 12:  # 64 blocks, most of them replayed
+        assert trace["blocks"]["replayed"] > trace["blocks"]["recorded"] > 0
 
 
 def test_search_infeasible_exit4(capsys):

@@ -571,3 +571,97 @@ def test_canonical_mask_matches_reference(args):
     # indices, so the stabiliser test both fails and passes
     for S in (VertexSet(n, mask), _coset_union(n, gens, shifts)):
         assert canonical_mask(S) == reference_canonical_mask(S)
+
+
+def _logged_block_entries(monkeypatch, target, s_target, budget, max_results):
+    """Run the search with its block crossings logged, and rebuild from the
+    log what replay should have done.  Each upward entry gets the state the
+    replay is keyed on (the block's rooms and flags, the two balance margins
+    clipped at the block width), whether an earlier entry from that state
+    had already left its block upward (a hit), and how it left its block:
+    1 up, -1 down, None not at all.  Returns the result, the entries and
+    the log of (step, d, key)."""
+    size = 1 << target.n
+    log = []
+    cross = search._cross
+
+    def logged(packed, rows, color, d, step, flips):
+        rows, flags = cross(packed, rows, color, d, step, flips)
+        key = None
+        if step == 1:
+            in_s = color[:d].count(1)
+            key = (packed[d >> search.BLOCK_BITS], flags,
+                   min(s_target - in_s, search.WIDTH),
+                   min(in_s + size - d - s_target, search.WIDTH))
+        log.append((step, d, key))
+        return rows, flags
+
+    monkeypatch.setattr(search, "_cross", logged)
+    r = backtrack_search(target.n, target, budget=budget,
+                         max_results=max_results)
+    entries, done = [], set()
+    for step, d, key in log:
+        if entries and entries[-1]["way"] is None:
+            entries[-1]["way"] = step
+            if step == 1:
+                done.add(entries[-1]["key"])
+        if step == 1:
+            entries.append({"d": d, "key": key, "hit": key in done,
+                            "way": None})
+    assert r.blocks_recorded == len(done)
+    assert r.blocks_replayed == sum(e["hit"] and e["way"] == 1
+                                    for e in entries)
+    return r, entries, log
+
+
+# Searches at n = 8..14 that replay blocks, each chosen to take one path of
+# the replay: most blocks replayed on the way to a hit; a budget that ends
+# inside a block whose entry state was recorded (the replay would pass it,
+# so the loop runs); retreats from the last block into a replayed block,
+# which resume from its stored exit rows; replays keyed on a balance margin
+# below 64 ((14, 1, 1) fills S by vertex 2^13); and b < c misses whose
+# recordings are dropped when their block fails.
+@pytest.mark.parametrize("n,b,c,budget,max_results,path", [
+    (12, 4, 4, 16384, 1, "mostly replayed"),
+    (14, 2, 2, 10 ** 5, 1, "mostly replayed"),
+    (12, 4, 4, 5000, 1, "budget inside a recorded block"),
+    (11, 2, 2, 20000, 3, "budget inside a recorded block"),
+    (8, 2, 2, 20000, 5, "resume from a replayed block"),
+    (10, 1, 1, 20000, 6, "resume from a replayed block"),
+    (13, 1, 1, 10 ** 5, 3, "resume from a replayed block"),
+    (14, 1, 1, 10 ** 5, 1, "clipped margin"),
+    (10, 2, 6, 4096, 1, "dropped recording"),
+    (11, 3, 9, 8192, 1, "dropped recording"),
+])
+def test_block_replay_matches_reference(monkeypatch, n, b, c, budget,
+                                        max_results, path):
+    target = ParameterMatrix(n, b, c)
+    s_target = _check_feasible(n, target)
+    _assert_matches_reference(target, s_target, budget, max_results)
+    r, entries, log = _logged_block_entries(monkeypatch, target, s_target,
+                                            budget, max_results)
+    assert r.blocks_replayed > 0
+    size, width = 1 << n, search.WIDTH
+    if path == "mostly replayed":
+        assert r.blocks_replayed > r.blocks_recorded
+    elif path == "budget inside a recorded block":
+        last = entries[-1]
+        assert r.stop_reason == "budget" and log[-1][0] == 1
+        assert last["hit"] and last["way"] is None
+        assert last["d"] + width < size
+    elif path == "resume from a replayed block":
+        latest, ups, resumed = {}, iter(entries), False
+        for step, d, _ in log:  # the entries are the log's upward steps
+            if step == 1:
+                latest[d] = next(ups)
+            elif d == size - width:
+                below = latest[d - width]
+                resumed |= below["hit"] and below["way"] == 1
+        assert resumed
+    elif path == "clipped margin":
+        assert any(e["hit"] and e["way"] == 1 and e["key"][2] < width
+                   for e in entries)
+        assert r.balance_prunes == 8192
+    else:
+        assert any(not e["hit"] and e["way"] == -1 and e["d"] + width < size
+                   for e in entries)
