@@ -5,13 +5,13 @@ nei/cor/rho inequality with its equality criterion."""
 __version__ = "0.1.0"
 
 from .cube_core import N_MAX, VertexSet, complement, make_set
-from .spectral import Spectrum, cor_order, cor_order_direct, transform
+from .spectral import Spectrum, cor_order_direct, transform
 from .macwilliams import (DistanceDistribution, DualDistribution,
                           distance_distribution, inverse_macwilliams,
                           krawtchouk, macwilliams_from_distances,
                           macwilliams_from_spectrum)
 from .coloring import (ColoringVerdict, ParameterMatrix, check_perfect,
-                       cor_from_matrix, is_perfect_code)
+                       is_perfect_code)
 from .theorem import (SweepSummary, TheoremReport, code_rigidity, sweep,
                       verify)
 from .search import (Infeasible, SearchResult, affine_coloring,

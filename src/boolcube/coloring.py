@@ -134,14 +134,6 @@ def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
     return s, n1, perfect, b, c, cor, n1_spec
 
 
-def cor_from_matrix(m: ParameterMatrix) -> int:
-    """cor = (b+c)/2 - 1 for a genuine perfect coloring."""
-    bc = m.b + m.c
-    if bc < 2 or bc % 2:
-        raise ValueError("invalid parameter pair b=%d c=%d" % (m.b, m.c))
-    return bc // 2 - 1
-
-
 def is_perfect_code(S: VertexSet) -> bool:
     if S.size == 0 or S.size == (1 << S.n):
         return False

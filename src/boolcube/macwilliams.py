@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .cube_core import VertexSet
-from .spectral import ROW_BITS, Spectrum, _dual_sums
+from .spectral import ROW_BITS, Spectrum
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,36 @@ def distance_distribution(S: VertexSet) -> DistanceDistribution:
     return DistanceDistribution(S.n, size, tuple(int(c) for c in counts))
 
 
+@lru_cache(maxsize=None)
+def _index_classes(m: int) -> tuple:
+    """0 .. 2^m-1 split by weight: class i holds the intp indices of weight i."""
+    wt = np.bitwise_count(np.arange(1 << m))
+    return tuple(np.flatnonzero(wt == i) for i in range(m + 1))
+
+
 def macwilliams_from_spectrum(sp: Spectrum) -> DualDistribution:
-    """D_k = sum over weight-k vectors of a_hat(v)^2; |S| = a_hat(0)."""
+    """D_k = sum of a_hat(v)^2 over the v of weight k, exact in int64
+    (D_k <= 2^n |S| <= 2^48), with no index of 2^n entries; |S| = a_hat(0).
+
+    wt(v) = wt(high h bits) + wt(low l bits), h = n // 2: as a (2^h, 2^l)
+    matrix, the rows of each high weight i are squared and summed into H[i],
+    about 2^ROW_BITS entries at a time; then D_(i + j) sums H[i] over the
+    columns of low weight j."""
     size = int(sp.coeffs[0])
     if size == 0:
         raise ValueError("dual distribution undefined for |S| = 0")
-    return DualDistribution(sp.n, size, _dual_sums(sp))
+    h, l = sp.n // 2, sp.n - sp.n // 2
+    a = sp.coeffs.reshape(1 << h, 1 << l)
+    step = max(1, (1 << ROW_BITS) >> l)
+    H = np.zeros((h + 1, 1 << l), dtype=np.int64)
+    for i, rows in enumerate(_index_classes(h)):
+        for lo in range(0, rows.size, step):
+            sq = np.square(a[rows[lo:lo + step]], dtype=np.int64)
+            H[i] += sq.sum(axis=0)
+    wt = np.arange(h + 1)[:, None] + np.bitwise_count(np.arange(1 << l))
+    D = np.zeros(sp.n + 1, dtype=np.int64)
+    np.add.at(D, wt, H)
+    return DualDistribution(sp.n, size, tuple(D.tolist()))
 
 
 def _krawtchouk_sums(n: int, xs: tuple) -> list:

@@ -11,8 +11,7 @@ import numpy as np
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
                         _membership_array, _pack, complement, index_to_vertex,
                         vertex_index)
-from .coloring import (ParameterMatrix, _all_subsets, check_perfect,
-                       cor_from_matrix)
+from .coloring import ParameterMatrix, _all_subsets, check_perfect
 from .theorem import _fdf_ok
 
 
@@ -202,7 +201,7 @@ def _check_feasible(n: int, target: ParameterMatrix) -> int:
     if (c << n) % (b + c):
         raise Infeasible("no integer |S| satisfies b|S| = c(2^n - |S|) "
                          "for b=%d c=%d n=%d" % (b, c, n))
-    size, cor = (c << n) // (b + c), cor_from_matrix(target)
+    size, cor = (c << n) // (b + c), (b + c) // 2 - 1
     if not _fdf_ok(n, size, cor):
         raise Infeasible("Fon-Der-Flaass: an unbalanced coloring has "
                          "3(cor+1) <= 2n, but b=%d c=%d gives cor=%d in "
@@ -251,6 +250,7 @@ def backtrack_search(n: int, target: ParameterMatrix,
     vertex must still be able to meet one of the two).  Every leaf is
     certified by `check_perfect`.  The search stops after `budget` nodes
     or `max_results` colorings; `stop_reason` says which, or "complete".
+    A budget stop reports budget + 1 nodes, the last one not expanded.
 
     The traversal is one loop over an explicit cursor (depth d, color to
     try next), with the colors so far (2^n bytes) as its stack.  A vertex's

@@ -1,9 +1,8 @@
-"""Exact integer Walsh/Fourier transform over the cube and the
-correlation-immunity order, with a face-counting brute-force cross-check."""
+"""Exact integer Walsh/Fourier transform over the cube, with a face-counting
+brute-force check of correlation immunity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +19,7 @@ class Spectrum:
     6-13 in int16 and 14 up in int32 (see `_STAGES`).  `coeffs` is the
     transform's whole work buffer, 4 bytes per entry.  A square does not
     fit (a_hat(0)^2 = |S|^2), so callers widen to int64 before squaring,
-    as `_dual_sums` does.
+    as `macwilliams_from_spectrum` does.
     """
     n: int
     coeffs: np.ndarray
@@ -154,49 +153,11 @@ def _fwht_inplace(x: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
-def _index_classes(m: int) -> tuple:
-    """0 .. 2^m-1 split by weight: class i holds the intp indices of weight i."""
-    wt = np.bitwise_count(np.arange(1 << m))
-    return tuple(np.flatnonzero(wt == i) for i in range(m + 1))
-
-
-def _dual_sums(sp: Spectrum) -> tuple:
-    """D_k = sum of a_hat(v)^2 over the v of weight k, exact in int64
-    (D_k <= 2^n |S| <= 2^48), with no index of 2^n entries.
-
-    wt(v) = wt(high h bits) + wt(low l bits), h = n // 2: as a (2^h, 2^l)
-    matrix, the rows of each high weight i are squared and summed into H[i],
-    about 2^ROW_BITS entries at a time; then D_(i + j) sums H[i] over the
-    columns of low weight j."""
-    h, l = sp.n // 2, sp.n - sp.n // 2
-    a = sp.coeffs.reshape(1 << h, 1 << l)
-    step = max(1, (1 << ROW_BITS) >> l)
-    H = np.zeros((h + 1, 1 << l), dtype=np.int64)
-    for i, rows in enumerate(_index_classes(h)):
-        for lo in range(0, rows.size, step):
-            sq = np.square(a[rows[lo:lo + step]], dtype=np.int64)
-            H[i] += sq.sum(axis=0)
-    wt = np.arange(h + 1)[:, None] + np.bitwise_count(np.arange(1 << l))
-    D = np.zeros(sp.n + 1, dtype=np.int64)
-    np.add.at(D, wt, H)
-    return tuple(D.tolist())
-
-
 def transform(S: VertexSet) -> Spectrum:
     """Exact Walsh spectrum of the indicator of S (butterfly, O(n 2^n)).
     Below n = 3 the mask is one byte, and the first 2^n entries of its
     8-point transform are the spectrum."""
     return Spectrum(S.n, _fwht_inplace(_mask_bytes(S))[:1 << S.n])
-
-
-def cor_order(S: VertexSet) -> int:
-    """cor(S): one less than the first weight k >= 1 with D_k > 0 (one has
-    it, by Parseval, as S is not constant)."""
-    if S.size == 0 or S.size == (1 << S.n):
-        raise ValueError("correlation immunity undefined for constant functions")
-    duals = _dual_sums(transform(S))
-    return next(k - 1 for k in range(1, S.n + 1) if duals[k])
 
 
 def cor_order_direct(S: VertexSet, t: int) -> bool:

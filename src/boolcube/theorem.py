@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import VertexSet, complement
-from .spectral import cor_order, transform
+from .spectral import transform
 from .macwilliams import (DistanceDistribution, DualDistribution,
                           inverse_macwilliams, macwilliams_from_spectrum)
 from .coloring import ParameterMatrix, _all_subsets, is_perfect_code
@@ -56,8 +56,8 @@ def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, int, bo
                          % (size, S.n))
     if 2 * size > total:
         if not allow_complement:
-            raise ValueError("density above 1/2; pass allow_complement=True "
-                             "to analyze the complement")
+            raise ValueError("density above 1/2 and complementing is off; "
+                             "analyze the complement instead")
         return complement(S), total - size, True
     return S, size, False
 
@@ -122,10 +122,9 @@ def code_rigidity(S: VertexSet, reference_n: int) -> bool:
     m = (reference_n + 1).bit_length() - 1
     if (1 << m) - 1 != reference_n:
         raise ValueError("n=%d is not of the form 2^m - 1" % reference_n)
-    if S.size == 0 or S.size == (1 << S.n):
-        return True
-    rho = Fraction(S.size, 1 << S.n)
-    if rho != Fraction(1, reference_n + 1) or cor_order(S) != (reference_n - 1) // 2:
+    # rho = 1/(n+1): S is not constant, and verify does not complement it
+    if (S.size * (reference_n + 1) != 1 << S.n
+            or verify(S).cor != (reference_n - 1) // 2):
         return True
     return is_perfect_code(S)
 

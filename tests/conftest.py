@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from boolcube import VertexSet, distance_distribution, make_set
+from boolcube import VertexSet, distance_distribution, make_set, transform
 
 # Codewords of the kernel of the parity-check matrix with columns 1..7,
 # computed once by the defining syndrome condition and frozen.
@@ -91,6 +91,13 @@ def round_trips(sp, S: VertexSet) -> bool:
               for i in range(0, a.shape[0], 1 << 16))
     return all(np.array_equal(x >> S.n, m) and not (x & low).any()
                for x, m in chunks)
+
+
+def cor_by_definition(S: VertexSet) -> int:
+    """cor(S) by its definition, off the spectrum of a non-constant S: one
+    less than the least weight of a v != 0 with a_hat(v) != 0."""
+    nonzero = np.flatnonzero(transform(S).coeffs[1:]) + 1
+    return int(np.bitwise_count(nonzero).min()) - 1
 
 
 def n1_direct(T: VertexSet) -> int:

@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 
 from boolcube import (ParameterMatrix, VertexSet, backtrack_search,
-                      check_perfect, cor_order, cor_order_direct,
+                      check_perfect, cor_order_direct,
                       distance_distribution, enumerate_perfect, hamming_code,
                       inverse_macwilliams, macwilliams_from_distances,
                       macwilliams_from_spectrum, sweep, transform, verify)
 
-from conftest import random_set, round_trips
+from conftest import cor_by_definition, random_set, round_trips
 
 
 def _report(num: int, text: str) -> None:
@@ -67,7 +67,7 @@ def _macwilliams_checks(S: VertexSet) -> None:
     assert via_k.duals[0] == S.size ** 2                      # (c)
     assert sum(via_k.Bprime) == Fraction(1 << S.n, S.size)    # (d)
     if 0 < S.size < (1 << S.n):
-        c = cor_order(S)
+        c = cor_by_definition(S)
         assert all(via_k.duals[k] == 0 for k in range(1, c + 1))
 
 
@@ -110,14 +110,14 @@ def test_criterion_5_cor_oracle_equivalence():
     for n in (1, 2, 3, 4):
         for mask in range(1, (1 << (1 << n)) - 1):
             S = VertexSet(n, mask)
-            c = cor_order(S)
+            c = verify(S).cor
             for t in range(n + 1):
                 assert (c >= t) == cor_order_direct(S, t)
     rng = random.Random(2028)
     for n in (6, 7, 8):
         for _ in range(100):
             S = random_set(rng, n)
-            c = cor_order(S)
+            c = verify(S).cor
             for t in range(n + 1):
                 assert (c >= t) == cor_order_direct(S, t)
     _report(5, "spectral cor equals the face-enumeration verdict "

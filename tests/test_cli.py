@@ -91,9 +91,11 @@ def test_analyze_dense_set_complemented(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["complemented"] is True and rep["size"] == 1
-    code, _, _ = run_cli(capsys,
-                         ["analyze", str(doc), "--json", "--no-complement"])
-    assert code == 3
+    code, out, err = run_cli(
+        capsys, ["analyze", str(doc), "--json", "--no-complement"])
+    assert (code, out) == (3, "")
+    assert err == ("rejected: density above 1/2 and complementing is off; "
+                   "analyze the complement instead\n")
 
 
 def test_construct_hamming(capsys):

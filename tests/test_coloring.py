@@ -5,15 +5,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from boolcube import (ParameterMatrix, VertexSet, affine_coloring,
-                      check_perfect, complement, cor_from_matrix, cor_order,
+from boolcube import (VertexSet, affine_coloring, check_perfect, complement,
                       is_perfect_code, make_set, verify)
 from boolcube.coloring import _all_subsets, _neighbor_counts
 from boolcube.search import enumerate_perfect
 from boolcube.theorem import sweep
 from boolcube.cube_core import index_to_vertex
 
-from conftest import membership, n1_direct, random_set
+from conftest import cor_by_definition, membership, n1_direct, random_set
 
 
 def test_check_perfect_parity(parity12_e3):
@@ -73,14 +72,6 @@ def test_check_perfect_rejects_constant():
         check_perfect(complement(VertexSet(3, 0)))
 
 
-def test_cor_from_matrix():
-    assert cor_from_matrix(ParameterMatrix(7, 7, 1)) == 3
-    assert cor_from_matrix(ParameterMatrix(3, 2, 2)) == 1
-    assert cor_from_matrix(ParameterMatrix(4, 1, 1)) == 0
-    with pytest.raises(ValueError):
-        cor_from_matrix(ParameterMatrix(3, 1, 2))
-
-
 def test_spectral_support_examples(hamming7, parity12_e3):
     assert verify(hamming7).dual.support == (0, 4)
     assert verify(parity12_e3).dual.support == (0, 2)
@@ -118,7 +109,8 @@ def test_matrix_cor_matches_spectral_cor():
             S = VertexSet(n, mask)
             v = check_perfect(S)
             if v.is_perfect:
-                assert cor_from_matrix(v.matrix) == cor_order(S)
+                b, c = v.matrix.b, v.matrix.c
+                assert (b + c) // 2 - 1 == cor_by_definition(S)
 
 
 def test_perfect_implies_edge_balance():
@@ -178,7 +170,7 @@ def _check_engine_against_per_set_routes(n, masks):
         assert perfect[mask] == v.is_perfect
         if v.is_perfect:
             assert (b[mask], c[mask]) == (v.matrix.b, v.matrix.c)
-        assert cor[mask] == cor_order(S)
+        assert cor[mask] == verify(S).cor
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -5,13 +5,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from boolcube import (VertexSet, complement, cor_order,
-                      distance_distribution, inverse_macwilliams, krawtchouk,
+from boolcube import (VertexSet, complement, distance_distribution,
+                      inverse_macwilliams, krawtchouk,
                       macwilliams_from_distances, macwilliams_from_spectrum,
                       make_set, transform, verify)
 from boolcube.cube_core import index_to_vertex
 
-from conftest import pairwise_distance_counts, random_set
+from conftest import cor_by_definition, pairwise_distance_counts, random_set
 
 
 def test_krawtchouk_anchors():
@@ -147,7 +147,7 @@ def test_dual_invariants_exhaustive_small():
             assert dual.duals[0] == S.size ** 2
             assert sum(dual.duals) == (1 << n) * S.size
             if S.size < (1 << n):
-                c = cor_order(S)
+                c = cor_by_definition(S)
                 assert all(dual.duals[k] == 0 for k in range(1, c + 1))
 
 

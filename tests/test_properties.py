@@ -7,11 +7,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from boolcube import (VertexSet, affine_coloring, check_perfect, complement,
-                      cor_order, distance_distribution,
-                      macwilliams_from_distances, transform)
+                      distance_distribution, macwilliams_from_distances,
+                      transform)
 from boolcube.cli import build_report, parse_document, serialize_document
 
-from conftest import pairwise_distance_counts
+from conftest import cor_by_definition, pairwise_distance_counts
 
 PROPERTY = settings(max_examples=80, deadline=None, database=None)
 
@@ -69,17 +69,19 @@ def test_report_dual_counts_match_krawtchouk_route(S):
 def test_report_cor_and_support_match_spectral_routes(S):
     rep = build_report(S)
     T = _analysed(S, rep)
-    assert rep["cor"] == cor_order(T)
-    # the support by its definition: the weights of the nonzero coefficients
+    # the support by its definition: the weights of the nonzero coefficients;
+    # cor is one less than its least weight above 0
     nonzero = np.flatnonzero(transform(T).coeffs).tolist()
-    assert rep["spectral_support"] == sorted({u.bit_count() for u in nonzero})
+    support = sorted({u.bit_count() for u in nonzero})
+    assert rep["spectral_support"] == support
+    assert rep["cor"] == support[1] - 1
 
 
 @PROPERTY
 @given(vertex_sets)
 def test_cor_and_perfectness_invariant_under_complement(S):
     C = complement(S)
-    assert cor_order(C) == cor_order(S)
+    assert cor_by_definition(C) == cor_by_definition(S)
     v, w = check_perfect(S), check_perfect(C)
     assert v.is_perfect == w.is_perfect
     if v.is_perfect:

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from boolcube import (N_MAX, Infeasible, ParameterMatrix, VertexSet,
                       affine_coloring, backtrack_search, check_perfect,
-                      construct, cor_from_matrix, cor_order,
-                      enumerate_perfect, half_cube, hamming_code, verify)
+                      construct, enumerate_perfect, half_cube, hamming_code,
+                      verify)
 from boolcube import search
 from boolcube.cube_core import index_to_vertex
 from boolcube.search import _check_feasible, canonical_mask
 
-from conftest import HAMMING7_WORDS
+from conftest import HAMMING7_WORDS, cor_by_definition
 from search_oracles import reference_backtrack, reference_canonical_mask
 
 
@@ -214,7 +214,7 @@ def test_enumerate_found_are_certified():
     for S in r.found:
         v = check_perfect(S)
         assert v.is_perfect
-        assert cor_from_matrix(v.matrix) == cor_order(S)
+        assert (v.matrix.b + v.matrix.c) // 2 - 1 == cor_by_definition(S)
         assert verify(S).slack == 0
 
 
@@ -619,7 +619,8 @@ def _logged_block_entries(monkeypatch, target, s_target, budget, max_results):
 # inside a block whose entry state was recorded (the replay would pass it,
 # so the loop runs); retreats from the last block into a replayed block,
 # which resume from its stored exit rows; replays keyed on a balance margin
-# below 64 ((14, 1, 1) fills S by vertex 2^13); and b < c misses whose
+# below 64 ((14, 1, 1) fills S by vertex 2^13); keys with a margin between
+# 32 and 64, which a clip at 32 would merge; and b < c misses whose
 # recordings are dropped when their block fails.
 @pytest.mark.parametrize("n,b,c,budget,max_results,path", [
     (12, 4, 4, 16384, 1, "mostly replayed"),
@@ -630,6 +631,7 @@ def _logged_block_entries(monkeypatch, target, s_target, budget, max_results):
     (10, 1, 1, 20000, 6, "resume from a replayed block"),
     (13, 1, 1, 10 ** 5, 3, "resume from a replayed block"),
     (14, 1, 1, 10 ** 5, 1, "clipped margin"),
+    (9, 7, 1, 200000, 3, "margin between 32 and 64"),
     (10, 2, 6, 4096, 1, "dropped recording"),
     (11, 3, 9, 8192, 1, "dropped recording"),
 ])
@@ -662,6 +664,9 @@ def test_block_replay_matches_reference(monkeypatch, n, b, c, budget,
         assert any(e["hit"] and e["way"] == 1 and e["key"][2] < width
                    for e in entries)
         assert r.balance_prunes == 8192
+    elif path == "margin between 32 and 64":
+        assert any(width // 2 < m < width
+                   for e in entries for m in e["key"][2:])
     else:
         assert any(not e["hit"] and e["way"] == -1 and e["d"] + width < size
                    for e in entries)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolcube import (VertexSet, complement, cor_order, cor_order_direct,
-                      make_set, spectral, transform)
+from boolcube import (VertexSet, complement, cor_order_direct, make_set,
+                      spectral, transform, verify)
 from boolcube.cube_core import index_to_vertex, vertex_index
-from boolcube.spectral import _index_classes, _rotate, _widen
+from boolcube.macwilliams import _index_classes
+from boolcube.spectral import _rotate, _widen
 
 from conftest import (fwht_int64, membership, naive_transform, random_set,
                       round_trips)
@@ -197,25 +198,25 @@ def test_round_trip():
 
 
 def test_cor_order_hamming(hamming7):
-    assert cor_order(hamming7) == 3
+    assert verify(hamming7).cor == 3
 
 
 def test_cor_order_parity_kernel():
     for n in range(2, 7):
         S = make_set(n, [index_to_vertex(i, n) for i in range(1 << n)
                          if bin(i).count("1") % 2 == 0])
-        assert cor_order(S) == n - 1
+        assert verify(S).cor == n - 1
 
 
 def test_cor_order_singleton():
-    assert cor_order(make_set(3, ["000"])) == 0
+    assert verify(make_set(3, ["000"])).cor == 0
 
 
 def test_cor_order_rejects_constant():
     with pytest.raises(ValueError):
-        cor_order(make_set(3, []))
+        verify(make_set(3, []))
     with pytest.raises(ValueError):
-        cor_order(complement(VertexSet(3, 0)))
+        verify(complement(VertexSet(3, 0)))
 
 
 def test_cor_order_direct_examples(hamming7):
@@ -226,10 +227,12 @@ def test_cor_order_direct_examples(hamming7):
 
 
 def test_cor_oracle_equivalence_exhaustive():
+    # the labelled cross-check: verify reads cor off D, the oracle counts
+    # the members on every face
     for n in range(1, 4):
         for mask in range(1, (1 << (1 << n)) - 1):
             S = VertexSet(n, mask)
-            c = cor_order(S)
+            c = verify(S).cor
             for t in range(n + 1):
                 assert (c >= t) == cor_order_direct(S, t)
 
@@ -238,7 +241,7 @@ def test_cor_oracle_equivalence_random():
     rng = random.Random(23)
     for _ in range(30):
         S = random_set(rng, rng.randint(5, 8))
-        c = cor_order(S)
+        c = verify(S).cor
         for t in range(S.n + 1):
             assert (c >= t) == cor_order_direct(S, t)
 
@@ -254,7 +257,7 @@ def test_translation_covariance():
         for v in range(1 << n):
             sign = -1 if (t & v).bit_count() % 2 else 1
             assert sp2.coeffs[v] == sign * sp.coeffs[v]
-        assert cor_order(S) == cor_order(S.translate(index_to_vertex(t, n)))
+        assert verify(S).cor == verify(S.translate(index_to_vertex(t, n))).cor
 
 
 def test_transform_of_the_empty_set_n21():

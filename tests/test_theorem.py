@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from boolcube import (VertexSet, check_perfect, code_rigidity, complement,
-                      cor_order, half_cube, is_perfect_code, make_set, sweep,
-                      verify)
+                      half_cube, is_perfect_code, make_set, sweep, verify)
 from boolcube.cube_core import index_to_vertex
 
-from conftest import n1_direct, random_set
+from conftest import cor_by_definition, n1_direct, random_set
 
 
 def test_verify_hamming(hamming7):
@@ -82,10 +81,10 @@ def test_slack_is_exact():
 
 def _equality_form(S: VertexSet) -> bool:
     """nei = rho*n + (n - 2(cor+1))(1 - rho) on the set verify analyses,
-    from the counted N_1 and the spectral cor_order route."""
+    from the counted N_1 and cor by its definition off the spectrum."""
     T = complement(S) if 2 * S.size > 1 << S.n else S
     nei, rho = Fraction(n1_direct(T), T.size), Fraction(T.size, 1 << T.n)
-    cor = cor_order(T)
+    cor = cor_by_definition(T)
     return nei == rho * T.n + (T.n - 2 * (cor + 1)) * (1 - rho)
 
 
@@ -134,7 +133,7 @@ def test_bf_equality_cases_are_perfect():
         for mask in range(1, (1 << (1 << n)) - 1):
             S = VertexSet(n, mask)
             rho = Fraction(S.size, 1 << n)
-            if rho == 1 - Fraction(n, 2 * (cor_order(S) + 1)):
+            if rho == 1 - Fraction(n, 2 * (cor_by_definition(S) + 1)):
                 assert check_perfect(S).is_perfect
 
 
@@ -150,13 +149,32 @@ def test_code_rigidity_vacuous():
             assert code_rigidity(S, 7)
 
 
+def test_code_rigidity_density_gate(hamming7):
+    # rho != 1/8: constant sets and the complement of the code
+    assert code_rigidity(VertexSet(7, 0), 7)
+    assert code_rigidity(complement(VertexSet(7, 0)), 7)
+    assert code_rigidity(complement(hamming7), 7)
+    # rho = 1/8 with cor != 3: past the density test, not a code
+    rng = random.Random(17)
+    for _ in range(5):
+        S = VertexSet(7, sum(1 << i for i in rng.sample(range(128), 16)))
+        assert cor_by_definition(S) != 3 and not is_perfect_code(S)
+        assert code_rigidity(S, 7)
+
+
+def test_code_rigidity_translates(hamming7):
+    for t in range(128):
+        T = hamming7.translate(index_to_vertex(t, 7))
+        assert code_rigidity(T, 7) and is_perfect_code(T)
+
+
 def test_code_rigidity_exhaustive_n3():
     H = make_set(3, ["000", "111"])
     assert is_perfect_code(H)
     for mask in range(1, 255):
         S = VertexSet(3, mask)
         assert code_rigidity(S, 3)
-        if S.size == 2 and cor_order(S) == 1:
+        if S.size == 2 and cor_by_definition(S) == 1:
             assert is_perfect_code(S)
 
 
@@ -204,7 +222,7 @@ def test_sweep_matches_verify_on_n3():
             perfect += check_perfect(S).is_perfect
             equal += r.slack == 0
             bf_equal += (Fraction(S.size, 1 << n)
-                         == 1 - Fraction(n, 2 * (cor_order(S) + 1)))
+                         == 1 - Fraction(n, 2 * (r.cor + 1)))
         assert perfect == s.perfect_count
         assert equal == s.equality_cases
         assert bf_equal == s.bf_equality_cases
