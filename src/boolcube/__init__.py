@@ -10,10 +10,8 @@ from .macwilliams import (DistanceDistribution, DualDistribution,
                           distance_distribution, inverse_macwilliams,
                           krawtchouk, macwilliams_from_distances,
                           macwilliams_from_spectrum)
-from .coloring import (ColoringVerdict, ParameterMatrix, check_perfect,
-                       is_perfect_code)
-from .theorem import (SweepSummary, TheoremReport, code_rigidity, sweep,
-                      verify)
+from .coloring import ColoringVerdict, ParameterMatrix, check_perfect
+from .theorem import SweepSummary, TheoremReport, sweep, verify
 from .search import (Infeasible, SearchResult, affine_coloring,
                      backtrack_search, construct, enumerate_perfect,
                      half_cube, hamming_code)

@@ -20,8 +20,8 @@ from . import __version__
 from .cube_core import VertexSet, _check_dimension, _mask_bytes, make_set
 from .coloring import ParameterMatrix
 from .theorem import sweep, verify
-from .search import (DEFAULT_BUDGET, Infeasible, backtrack_search, construct,
-                     enumerate_perfect)
+from .search import (DEFAULT_BUDGET, Infeasible, backtrack_search,
+                     canonical_mask, construct, enumerate_perfect)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -176,28 +176,30 @@ def cmd_search(args) -> int:
     try:
         _check_search_args(args)
         if args.exhaustive:
-            result = enumerate_perfect(args.n, target, canonical=args.canonical)
+            result = enumerate_perfect(args.n, target)
         else:
             result = backtrack_search(args.n, target, budget=args.budget,
-                                      max_results=args.max_results,
-                                      canonical=args.canonical)
+                                      max_results=args.max_results)
     except Infeasible as exc:
         print("infeasible parameters: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
         print("parameter error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    found = result.found
+    if args.canonical:  # after either route: one set per translation class
+        found = [VertexSet(args.n, m)
+                 for m in sorted({canonical_mask(S) for S in found})]
     out = {
         "summary": {
             "n": result.n,
             "b": args.b,
             "c": args.c,
-            "found": len(result.found),
+            "found": len(found),
             "exhaustive": result.exhaustive,
             "nodes": result.nodes,
         },
-        "sets": [serialize_document(S, as_mask=args.as_mask)
-                 for S in result.found],
+        "sets": [serialize_document(S, as_mask=args.as_mask) for S in found],
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     if args.trace:

@@ -62,8 +62,8 @@ def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_perfect(S: VertexSet) -> ColoringVerdict:
-    """Direct per-vertex scan; the ground-truth decider that `construct`,
-    both search engines and `is_perfect_code` certify with.
+    """Direct per-vertex scan; the ground-truth decider that `construct` and
+    both search engines certify with.
 
     The witness, when regularity fails, is the smallest-index vertex whose
     in-S neighbor count differs from the count of the smallest-index vertex
@@ -133,9 +133,3 @@ def _all_subsets(n: int) -> tuple[np.ndarray, ...]:
         v.setflags(write=False)
     return s, n1, perfect, b, c, cor, n1_spec
 
-
-def is_perfect_code(S: VertexSet) -> bool:
-    if S.size == 0 or S.size == (1 << S.n):
-        return False
-    v = check_perfect(S)
-    return v.is_perfect and v.matrix.b == S.n and v.matrix.c == 1

@@ -88,16 +88,16 @@ def construct(kind: str, **params) -> VertexSet:
         if name not in given and p.default is p.empty:
             raise ValueError("the %s construction needs %s" % (kind, name))
     S = build(**given)
-    assert check_perfect(S).is_perfect
+    if not check_perfect(S).is_perfect:  # not an assert: -O keeps it
+        raise AssertionError("the %s construction is not perfect" % kind)
     return S
 
 
 @dataclass(frozen=True)
 class SearchResult:
     n: int
-    target: Optional[ParameterMatrix]
-    # VertexSets, in increasing mask order, except that backtrack_search
-    # without canonical lists them in search order
+    # VertexSets: in increasing mask order from enumerate_perfect, in search
+    # order from backtrack_search
     found: tuple
     stop_reason: str  # "complete" | "budget" | "max_results"
     nodes: int = 0
@@ -157,17 +157,8 @@ def _span_basis(vectors: np.ndarray) -> list[int]:
     return basis
 
 
-def _dedupe_canonical(sets: list[VertexSet]) -> list[VertexSet]:
-    seen = {}
-    for S in sets:
-        key = canonical_mask(S)
-        if key not in seen:
-            seen[key] = VertexSet(S.n, key)
-    return [seen[k] for k in sorted(seen)]
-
-
-def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
-                      canonical: bool = False) -> SearchResult:
+def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None
+                      ) -> SearchResult:
     """Brute force over all 2^(2^n) subsets with the exhaustive engine that
     `sweep` also runs; every hit certified by the direct per-vertex scan."""
     perfect, bs, cs = _all_subsets(n)[2:5]  # checks n first
@@ -179,12 +170,10 @@ def enumerate_perfect(n: int, target: Optional[ParameterMatrix] = None,
         if target is not None and (b, c) != (target.b, target.c):
             continue
         S = VertexSet(n, mask)
-        verdict = check_perfect(S)
-        assert verdict.is_perfect and (verdict.matrix.b, verdict.matrix.c) == (b, c)
+        if check_perfect(S).matrix != ParameterMatrix(n, b, c):
+            raise AssertionError("engine and scan disagree on mask %d" % mask)
         found.append(S)
-    if canonical:
-        found = _dedupe_canonical(found)
-    return SearchResult(n, target, tuple(found), stop_reason="complete")
+    return SearchResult(n, tuple(found), stop_reason="complete")
 
 
 def _check_feasible(n: int, target: ParameterMatrix) -> int:
@@ -239,8 +228,7 @@ def _cross(packed: list, rows: list, color: bytearray, d: int, step: int,
 
 def backtrack_search(n: int, target: ParameterMatrix,
                      budget: int = DEFAULT_BUDGET,
-                     max_results: Optional[int] = None,
-                     canonical: bool = False) -> SearchResult:
+                     max_results: Optional[int] = None) -> SearchResult:
     """Depth-first color assignment in vertex-index order with sound pruning.
 
     Vertex d gets color 1 (in S) before color 0.  A node is one assignment;
@@ -370,9 +358,8 @@ def backtrack_search(n: int, target: ParameterMatrix,
                         rows, flags = _cross(packed, hit[1], color, d, 1, flips)
                 continue
             S = VertexSet(n, _pack(np.frombuffer(color, dtype=np.uint8)))
-            verdict = check_perfect(S)
-            assert verdict.is_perfect and \
-                (verdict.matrix.b, verdict.matrix.c) == (target.b, target.c)
+            if check_perfect(S).matrix != target:
+                raise AssertionError("a leaf is not a %r coloring" % (target,))
             found.append(S)
             max_depth = size
             if max_results is not None and len(found) >= max_results:
@@ -397,8 +384,7 @@ def backtrack_search(n: int, target: ParameterMatrix,
         rows[low] += drop0[col]
         col -= 1
     max_depth = max(max_depth, d)
-    sets = _dedupe_canonical(found) if canonical else found
-    return SearchResult(n, target, tuple(sets), stop_reason=stop, nodes=nodes,
+    return SearchResult(n, tuple(found), stop_reason=stop, nodes=nodes,
                         balance_prunes=balance, own_prunes=own,
                         neighbour_prunes=neighbour, max_depth=max_depth,
                         blocks_recorded=len(memo), blocks_replayed=replayed)

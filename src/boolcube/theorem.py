@@ -3,7 +3,7 @@
     nei(S) + 2(cor(S)+1)(1 - rho(S)) <= n
 
 with equality exactly on perfect 2-colorings, plus the two prior bounds
-(Fon-Der-Flaass; Bierbrauer-Friedman) and the perfect-code rigidity check.
+(Fon-Der-Flaass; Bierbrauer-Friedman).
 
 The analysis is the paper's proof: for the MacWilliams dual D, the P_1 row
 of the inverse transform, N_1 2^n = sum_k (n - 2k) D_k, and Parseval give
@@ -27,7 +27,7 @@ from .cube_core import VertexSet, complement
 from .spectral import transform
 from .macwilliams import (DistanceDistribution, DualDistribution,
                           inverse_macwilliams, macwilliams_from_spectrum)
-from .coloring import ParameterMatrix, _all_subsets, is_perfect_code
+from .coloring import ParameterMatrix, _all_subsets
 
 
 @dataclass(frozen=True)
@@ -111,22 +111,6 @@ def _bf_margin(n: int, size, cor):
     """rho >= 1 - n / (2(cor+1)) times 2^n * 2(cor+1), as a difference:
     >= 0 where the bound holds, 0 at equality."""
     return n * (1 << n) - 2 * (cor + 1) * ((1 << n) - size)
-
-
-def code_rigidity(S: VertexSet, reference_n: int) -> bool:
-    """If cor and rho match the perfect-code values for this dimension, the
-    set must itself be a perfect code; vacuously true otherwise."""
-    if S.n != reference_n:
-        raise ValueError("set dimension %d differs from reference %d"
-                         % (S.n, reference_n))
-    m = (reference_n + 1).bit_length() - 1
-    if (1 << m) - 1 != reference_n:
-        raise ValueError("n=%d is not of the form 2^m - 1" % reference_n)
-    # rho = 1/(n+1): S is not constant, and verify does not complement it
-    if (S.size * (reference_n + 1) != 1 << S.n
-            or verify(S).cor != (reference_n - 1) // 2):
-        return True
-    return is_perfect_code(S)
 
 
 @dataclass(frozen=True)

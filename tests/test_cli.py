@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boolcube import SweepSummary, VertexSet, cli, spectral
+from boolcube import (Infeasible, ParameterMatrix, SweepSummary, VertexSet,
+                      cli, spectral)
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
+from boolcube.search import _check_feasible
 
 from conftest import HAMMING7_WORDS
 
@@ -205,6 +208,98 @@ def test_search_trace_leaves_stdout_unchanged(capsys, argv):
         assert trace["max_depth"] == 1 << summary["n"]
     if summary["n"] == 12:  # 64 blocks, most of them replayed
         assert trace["blocks"]["replayed"] > trace["blocks"]["recorded"] > 0
+
+
+# (n, b, c) -> classes, and the SHA-256 of `search --canonical --as-mask`
+# stdout without and with --exhaustive, for every feasible (b, c) at
+# n = 1..4; recorded when each engine still deduplicated inside itself.
+CANONICAL_CELLS = [
+    ((1, 1, 1), 1,
+     "97cdbba89ac0d0992856ef7f06b8a0b413cb49d526930d209d34de47d2035ff1",
+     "2cad9ba888f517b274098bcf669c7385add2bf08e1d2292559e57bfc23e3777a"),
+    ((2, 1, 1), 2,
+     "402dc039478200d7d71bab6a6520be9c02a853c97b6935338483e5fdcab6e918",
+     "4f51640b55ff9643486107542e80dc72d3bc4452af172c80ef4ad192a9486143"),
+    ((2, 2, 2), 1,
+     "c1dda260b15b9387b4149fca0e88bf8eb1c006a80596b2540bb17454cc7800da",
+     "e5aa4229b9335828392f0861f2f34064cf11a47df821ef9bb1eb85123daec05b"),
+    ((3, 1, 1), 3,
+     "d40bc2f43917e61777fffb6749120cbed248a3e140ef95525e524f5d4714e629",
+     "e71abe733df19379b6a8422ca7398093a004d32a88a08967fd5e9560faafd6c8"),
+    ((3, 1, 3), 1,
+     "2e1fa83ded9b034b30b0dc7b2c9fff39d4958e856866fec3048999b58cadd0f0",
+     "1052456e2a6682c622d458b22cc8a8296e5d04d4fb339bbf92347b16a96fcb08"),
+    ((3, 2, 2), 3,
+     "8665833366d5a00e78ff03fc4a34162f9918fea01cb53825d875f07290b6ba3c",
+     "b00c5d7adb9d1dbcd1d94f22540991dadc433513a26a0eb43554e5279c9367fe"),
+    ((3, 3, 1), 1,
+     "04ee762dd7c1056d06d8e5b4af1e6b59a60ff90d4d19029ab8f62dffc8c8989c",
+     "215a1ad3a18c159d8291bc203d5a017311aa9801c220d38e20d8d4aecaaaa29d"),
+    ((3, 3, 3), 1,
+     "c9a341024ac719df92e209e7e581b8a95498b7492c3a08a1490c184986a5c454",
+     "89ff72aa6cf4b6459ae4a8396d25d791262185a4560385782da97d5f8df2a313"),
+    ((4, 1, 1), 4,
+     "51eb14fb6905c6c9631657e29129981cddb29efaecff1834cbf31a223fe77b3e",
+     "1802662ebf7dd888b3dae76f69b4ffacb07dbf81f2a8455a8da63edffab33519"),
+    ((4, 1, 3), 4,
+     "3fa765a43a6e78c48728395d84d2fdbe81c96fd5f934b7d3849d7bcbc192b616",
+     "531bc3afca888c77f05451430c5648360c19de026306764b221bd5118f2a585e"),
+    ((4, 2, 2), 9,
+     "d8276d3791bbe0d48bdf839fabde7da45c655756fcc30e3119ac13167e52f3fb",
+     "cabe57ba8db7deab27dacf5932d8be1591883940c32a95c3c5141fe7c50cea8b"),
+    ((4, 3, 1), 4,
+     "85475792cc51ee2a31dd2a4cd5e65b6a9739f7bc61f5db973b1e1958e93a3014",
+     "282ffd03f5b1ed1459667caed409e6c2365330eb033f3c584b93e79715c9f85d"),
+    ((4, 3, 3), 4,
+     "e5bd7d0106f1d63c1e3577792250d4aa7e0c0a10e3218ec95dc697c1a9cde6ff",
+     "9356d2280892f2c21e65e87901b784d80e369ae05bcc60ff1928aafbc56ec94d"),
+    ((4, 4, 4), 1,
+     "38a95444e0e63cee9b962be20e6bd546813f7ef4870c829589303294b0eaba0c",
+     "bf315736a9b88e228aa98c6a6edc67d7d73d5f2bd929d8ece4d90187b18ab76d"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_canonical_cells_are_every_feasible_cell_at_n_up_to_4():
+    feasible = []
+    for n in range(1, 5):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                try:
+                    _check_feasible(n, ParameterMatrix(n, b, c))
+                except Infeasible:
+                    continue
+                feasible.append((n, b, c))
+    assert [cell for cell, *_ in CANONICAL_CELLS] == feasible
+    assert sum(classes for _, classes, *_ in CANONICAL_CELLS) == 39
+
+
+@pytest.mark.parametrize("cell,classes,backtrack,exhaustive", CANONICAL_CELLS,
+                         ids=["%d-%d-%d" % cell for cell, *_ in CANONICAL_CELLS])
+def test_search_canonical_same_on_both_routes(capsys, cell, classes,
+                                              backtrack, exhaustive):
+    argv = ["search", "--n", "%d" % cell[0], "--b", "%d" % cell[1],
+            "--c", "%d" % cell[2], "--canonical", "--as-mask"]
+    code, out_bt, _ = run_cli(capsys, argv)
+    assert code == 0 and _sha256(out_bt) == backtrack
+    code, out_ex, _ = run_cli(capsys, argv + ["--exhaustive"])
+    assert code == 0 and _sha256(out_ex) == exhaustive
+    bt, ex = json.loads(out_bt), json.loads(out_ex)
+    assert bt["sets"] == ex["sets"]
+    assert bt["summary"]["found"] == ex["summary"]["found"] == classes
+
+
+def test_search_canonical_after_max_results(capsys):
+    # --max-results counts the colorings found, before the dedupe
+    code, out, _ = run_cli(capsys, ["search", "--n", "8", "--b", "4",
+                                    "--c", "4", "--max-results", "2",
+                                    "--canonical", "--as-mask"])
+    assert code == 0
+    assert _sha256(out) == \
+        "1ac77d3ae2480224c30f3fb7f2a91f81dbc79436c2df9fb0f9995f797f0dd1ec"
 
 
 def test_search_infeasible_exit4(capsys):

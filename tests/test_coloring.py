@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boolcube import (VertexSet, affine_coloring, check_perfect, complement,
-                      is_perfect_code, make_set, verify)
+                      make_set, verify)
 from boolcube.coloring import _all_subsets, _neighbor_counts
 from boolcube.search import enumerate_perfect
 from boolcube.theorem import sweep
@@ -76,14 +76,6 @@ def test_spectral_support_examples(hamming7, parity12_e3):
     assert verify(hamming7).dual.support == (0, 4)
     assert verify(parity12_e3).dual.support == (0, 2)
     assert verify(make_set(3, ["000"])).dual.support == (0, 1, 2, 3)
-
-
-def test_is_perfect_code(hamming7):
-    assert is_perfect_code(hamming7)
-    assert not is_perfect_code(make_set(3, ["000", "001", "010", "011"]))
-    rng = random.Random(3)
-    for _ in range(10):
-        assert not is_perfect_code(random_set(rng, 6))  # n != 2^m - 1
 
 
 def test_characterization_agreement_exhaustive():

@@ -1,8 +1,11 @@
 import gc
 import hashlib
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,9 +464,38 @@ def test_enumerate_stop_reason_complete():
 
 
 def test_canonical_dedupe():
-    r = enumerate_perfect(2, ParameterMatrix(2, 2, 2), canonical=True)
-    assert len(r.found) == 1
-    assert r.found[0].mask == canonical_mask(r.found[0])
+    # {00, 11} and {01, 10}: one class, whose smallest mask is {01, 10}
+    r = enumerate_perfect(2, ParameterMatrix(2, 2, 2))
+    classes = {canonical_mask(S) for S in r.found}
+    assert len(r.found) == 2 and classes == {0b0110}
+    assert canonical_mask(VertexSet(2, 0b0110)) == 0b0110
+
+
+def test_certification_survives_python_O():
+    """Each route certifies with an explicit raise, which python -O keeps:
+    with check_perfect patched to reject every set, all three raise."""
+    child = ("from boolcube import ParameterMatrix, search\n"
+             "from boolcube.coloring import ColoringVerdict\n"
+             "assert False  # -O drops it\n"
+             "search.check_perfect = lambda S: ColoringVerdict(\n"
+             "    False, None, ('0' * S.n, 0))\n"
+             "for call in (\n"
+             "        lambda: search.construct('half_cube', n=3),\n"
+             "        lambda: search.enumerate_perfect(\n"
+             "            2, ParameterMatrix(2, 2, 2)),\n"
+             "        lambda: search.backtrack_search(\n"
+             "            3, ParameterMatrix(3, 2, 2))):\n"
+             "    try:\n"
+             "        call()\n"
+             "        print('returned')\n"
+             "    except AssertionError:\n"
+             "        print('raised')\n")
+    src = str(Path(search.__file__).resolve().parents[1])
+    p = subprocess.run([sys.executable, "-O", "-c", child],
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split() == ["raised"] * 3
 
 
 def test_closure_under_translation():

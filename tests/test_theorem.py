@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolcube import (VertexSet, check_perfect, code_rigidity, complement,
-                      half_cube, is_perfect_code, make_set, sweep, verify)
+from boolcube import (ParameterMatrix, VertexSet, check_perfect, complement,
+                      half_cube, make_set, sweep, verify)
 from boolcube.cube_core import index_to_vertex
 
 from conftest import cor_by_definition, n1_direct, random_set
@@ -137,52 +137,41 @@ def test_bf_equality_cases_are_perfect():
                 assert check_perfect(S).is_perfect
 
 
-def test_code_rigidity_hamming(hamming7):
-    assert code_rigidity(hamming7, 7)
-
-
-def test_code_rigidity_vacuous():
-    rng = random.Random(7)
-    for _ in range(10):
-        S = random_set(rng, 7)
-        if S.size != 16:
-            assert code_rigidity(S, 7)
-
-
-def test_code_rigidity_density_gate(hamming7):
-    # rho != 1/8: constant sets and the complement of the code
-    assert code_rigidity(VertexSet(7, 0), 7)
-    assert code_rigidity(complement(VertexSet(7, 0)), 7)
-    assert code_rigidity(complement(hamming7), 7)
-    # rho = 1/8 with cor != 3: past the density test, not a code
-    rng = random.Random(17)
-    for _ in range(5):
-        S = VertexSet(7, sum(1 << i for i in rng.sample(range(128), 16)))
-        assert cor_by_definition(S) != 3 and not is_perfect_code(S)
-        assert code_rigidity(S, 7)
+def _rigid(S):
+    """Whether S meets the perfect-code values rho = 1/(n+1), cor = (n-1)/2,
+    read off `verify`; when it does, the theorem leaves nei + n <= n, so nei
+    and the slack are 0 and S is a perfect (n, 1) code."""
+    n, r = S.n, verify(S)
+    if r.complemented or r.rho != Fraction(1, n + 1) or 2 * r.cor != n - 1:
+        return False
+    assert r.nei == 0 and r.slack == 0
+    assert check_perfect(S).matrix == ParameterMatrix(n, n, 1)
+    return True
 
 
 def test_code_rigidity_translates(hamming7):
-    for t in range(128):
-        T = hamming7.translate(index_to_vertex(t, 7))
-        assert code_rigidity(T, 7) and is_perfect_code(T)
+    for t in range(128):  # t = 0 is the code itself
+        assert _rigid(hamming7.translate(index_to_vertex(t, 7)))
+
+
+def test_code_rigidity_density_gate(hamming7):
+    # rho = 7/8: the complement of the code has cor 3 and is no code
+    C = complement(hamming7)
+    assert cor_by_definition(C) == 3 and not _rigid(C)
+    assert check_perfect(C).matrix == ParameterMatrix(7, 1, 7)
+    # rho = 1/8 with cor != 3: no code either
+    rng = random.Random(17)
+    for _ in range(5):
+        S = VertexSet(7, sum(1 << i for i in rng.sample(range(128), 16)))
+        assert cor_by_definition(S) != 3 and not _rigid(S)
+        assert check_perfect(S).matrix != ParameterMatrix(7, 7, 1)
 
 
 def test_code_rigidity_exhaustive_n3():
-    H = make_set(3, ["000", "111"])
-    assert is_perfect_code(H)
-    for mask in range(1, 255):
-        S = VertexSet(3, mask)
-        assert code_rigidity(S, 3)
-        if S.size == 2 and cor_by_definition(S) == 1:
-            assert is_perfect_code(S)
-
-
-def test_code_rigidity_rejects_bad_n():
-    with pytest.raises(ValueError):
-        code_rigidity(make_set(4, ["0000"]), 4)
-    with pytest.raises(ValueError):
-        code_rigidity(make_set(3, ["000"]), 7)
+    rigid = [mask for mask in range(1, 255) if _rigid(VertexSet(3, mask))]
+    # the four translates of {000, 111}: the pairs of antipodal vertices
+    assert sorted(rigid) == sorted(make_set(3, [v, w]).mask for v, w in [
+        ("000", "111"), ("001", "110"), ("010", "101"), ("100", "011")])
 
 
 def test_sweep_small():
