@@ -149,8 +149,14 @@ def _rigid(S):
     return True
 
 
+def test_code_rigidity_hamming(hamming7):
+    assert _rigid(hamming7)
+    r = verify(hamming7)
+    assert (r.rho, r.cor, r.nei, r.slack) == (Fraction(1, 8), 3, 0, 0)
+
+
 def test_code_rigidity_translates(hamming7):
-    for t in range(128):  # t = 0 is the code itself
+    for t in range(1, 128):  # t = 0 is test_code_rigidity_hamming
         assert _rigid(hamming7.translate(index_to_vertex(t, 7)))
 
 
