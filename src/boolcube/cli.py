@@ -211,7 +211,7 @@ def cmd_search(args) -> int:
             "max_depth": result.max_depth,
             "blocks": {"recorded": result.blocks_recorded,
                        "replayed": result.blocks_replayed},
-            "stop_reason": result.stop_reason,
+            "stop_reason": result.stop_reason, "swapped": result.swapped,
         }, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 

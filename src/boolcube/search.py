@@ -112,6 +112,7 @@ class SearchResult:
     # recorded, and block entries that replayed one
     blocks_recorded: int = 0
     blocks_replayed: int = 0
+    swapped: bool = False  # backtrack_search only: b < c, it searched (c, b)
 
     @property
     def exhaustive(self) -> bool:
@@ -202,28 +203,31 @@ DEFAULT_BUDGET = 10 ** 7  # nodes; also the CLI's --budget default
 BLOCK_BITS = 6  # backtrack_search keeps the rooms of 2^6 vertices in one int
 WIDTH = 1 << BLOCK_BITS
 ONES = (1 << 16 * WIDTH) // 255  # 1 in each byte lane: (color, vertex)
+FULL = 127 * ONES  # rooms are < 128: + FULL sets a lane's top bit iff not 0
 # per lane (color * WIDTH + vertex), the lanes of its neighbors in the block
 LANE_NEIGHBORS = tuple(tuple(lane ^ 1 << k for k in range(BLOCK_BITS))
                        for lane in range(2 * WIDTH))
 
 
-def _cross(packed: list, rows: list, color: bytearray, d: int, step: int,
-           flips: list) -> tuple:
-    """Cross the block boundary at vertex d up (step 1) or down (-1): write
-    back the rows of the block left, move the colors of the lower block into
-    (out of) its neighbor blocks' rooms, and open the other block: its rows,
-    and flags on the lanes whose neighbor in another block has no room."""
-    done = (d >> BLOCK_BITS) - 1
-    packed[done + (step < 0)] = int.from_bytes(bytearray(rows), "little")
+def _taken(color: bytearray, d: int) -> int:
+    """1 in the lane (color, vertex) of each vertex of the block below d."""
     in_s = int.from_bytes(color[d - WIDTH:d], "little")
-    taken = step * ((ONES >> 8 * WIDTH) - in_s + (in_s << 8 * WIDTH))
-    new, full = done + (step > 0), -1
+    return (ONES >> 8 * WIDTH) - in_s + (in_s << 8 * WIDTH)
+
+
+def _cross(packed: list, rows: int, taken: int, d: int, step: int,
+           flips: list) -> tuple:
+    """Cross the boundary at d up (1) or down (-1): store `rows`, move `taken`
+    into (out of) the lower block's neighbor blocks, and return the other
+    block's rooms and flags (1: a neighbor in another block has no room)."""
+    done = (d >> BLOCK_BITS) - 1
+    packed[done + (step < 0)] = rows
+    new, full, taken = done + (step > 0), -1, step * taken
     for f in flips:
         packed[done ^ f] -= taken
-    for f in flips:  # rooms are < 128: + 127 sets the top bit iff not 0
-        full &= packed[new ^ f] + 127 * ONES
-    return (list(packed[new].to_bytes(2 * WIDTH, "little")),
-            (~full >> 7 & ONES).to_bytes(2 * WIDTH, "little"))
+    for f in flips:
+        full &= packed[new ^ f] + FULL
+    return packed[new], ~full >> 7 & ONES
 
 
 def backtrack_search(n: int, target: ParameterMatrix,
@@ -231,6 +235,8 @@ def backtrack_search(n: int, target: ParameterMatrix,
                      max_results: Optional[int] = None) -> SearchResult:
     """Depth-first color assignment in vertex-index order with sound pruning.
 
+    For b < c it searches the complements, the (c, b) colorings, and returns
+    the complement of each leaf (`swapped`); the counts describe that search.
     Vertex d gets color 1 (in S) before color 0.  A node is one assignment;
     it is pruned when the cardinality balance can no longer be met, or when
     d or a neighbor d ^ 2^k can no longer reach its color's requirement of
@@ -249,15 +255,13 @@ def backtrack_search(n: int, target: ParameterMatrix,
     checked by one flag, and lose their room when the block is left upward.
     Prunes and the deepest node are counted on prune and retreat paths only.
 
-    From an upward entry into a block to its first exit, the search reads
-    only the block's rooms and flags and the two balance margins, clipped at
-    the block width.  The first such run from each entry state is recorded:
-    the block's colors, its exit rows and the counts it added.  An entry
-    from a recorded state replays it, unless it would pass the budget or the
-    block is the last, which holds the leaves.  A block that fails, a
+    The first run up through a block from each entry state (its rooms and
+    flags, and the balance margins clipped at the block width) is recorded:
+    its colors, exit rooms and what it takes as ints, and the counts it
+    added.  A later entry from that state replays it on ints, unless that
+    would pass the budget or the block is the last.  A block that fails, a
     budget stop and a resume from above record nothing.  The deepest node
-    needs no record: a replayed block's retreats lie below its exit, which
-    counts as deeper before any later retreat or stop.
+    needs no record: a replayed block's retreats lie below its exit.
     """
     _check_dimension(n)
     if max_results is not None and max_results < 1:
@@ -266,7 +270,10 @@ def backtrack_search(n: int, target: ParameterMatrix,
         raise ValueError("budget must be >= 0, got %r" % (budget,))
     s_target = _check_feasible(n, target)
     size = 1 << n
-    need = (target.c, n - target.b)  # required in-S neighbors, by color
+    swap = int(target.b < target.c)  # then search the complements: (c, b)
+    s_target = size - s_target if swap else s_target
+    # required in-S neighbors, by color
+    need = (target.b, n - target.c) if swap else (target.c, n - target.b)
     lo_need, hi_need = min(need), max(need)
     # what coloring d with each color takes from d's own two rooms
     drop1 = (hi_need - need[0], hi_need - need[1])
@@ -332,32 +339,36 @@ def backtrack_search(n: int, target: ParameterMatrix,
                 low = d & (WIDTH - 1)
                 col = 1
                 if not low:
+                    rows = int.from_bytes(bytearray(rows), "little")
+                    taken = _taken(color, d)
                     if rec is not None:  # the recorded block's first way up
-                        memo[rec[0]] = (bytes(color[d - WIDTH:d]), bytes(rows),
+                        memo[rec[0]] = (bytes(color[d - WIDTH:d]), rows, taken,
                                         in_s - rec[1], nodes - rec[2],
                                         balance - rec[3], own - rec[4],
                                         neighbour - rec[5])
                         rec = None
-                    rows, flags = _cross(packed, rows, color, d, 1, flips)
+                    rows, flags = _cross(packed, rows, taken, d, 1, flips)
                     while d + WIDTH < size:
-                        key = (packed[d >> BLOCK_BITS], flags,
-                               min(s_target - in_s, WIDTH),
+                        key = (rows, flags, min(s_target - in_s, WIDTH),
                                min(in_s + size - d - s_target, WIDTH))
                         hit = memo.get(key)
                         if hit is None:
                             rec = (key, in_s, nodes, balance, own, neighbour)
                             break
-                        if nodes + hit[3] > budget:
+                        if nodes + hit[4] > budget:
                             break
                         color[d:d + WIDTH] = hit[0]
                         d += WIDTH
                         in_s, nodes, balance, own, neighbour = (
-                            in_s + hit[2], nodes + hit[3], balance + hit[4],
-                            own + hit[5], neighbour + hit[6])
+                            in_s + hit[3], nodes + hit[4], balance + hit[5],
+                            own + hit[6], neighbour + hit[7])
                         replayed += 1
-                        rows, flags = _cross(packed, hit[1], color, d, 1, flips)
+                        rows, flags = _cross(packed, hit[1], hit[2], d, 1,
+                                             flips)
+                    rows = list(rows.to_bytes(2 * WIDTH, "little"))
+                    flags = flags.to_bytes(2 * WIDTH, "little")
                 continue
-            S = VertexSet(n, _pack(np.frombuffer(color, dtype=np.uint8)))
+            S = VertexSet(n, _pack(np.frombuffer(color, np.uint8) ^ swap))
             if check_perfect(S).matrix != target:
                 raise AssertionError("a leaf is not a %r coloring" % (target,))
             found.append(S)
@@ -371,7 +382,11 @@ def backtrack_search(n: int, target: ParameterMatrix,
             if d > max_depth:
                 max_depth = d
             if not low:
-                rows, flags = _cross(packed, rows, color, d, -1, flips)
+                rows, flags = _cross(packed,
+                                     int.from_bytes(bytearray(rows), "little"),
+                                     _taken(color, d), d, -1, flips)
+                rows = list(rows.to_bytes(2 * WIDTH, "little"))
+                flags = flags.to_bytes(2 * WIDTH, "little")
                 rec = None  # the recorded block, if any, failed
             d -= 1
             low = d & (WIDTH - 1)
@@ -387,4 +402,5 @@ def backtrack_search(n: int, target: ParameterMatrix,
     return SearchResult(n, tuple(found), stop_reason=stop, nodes=nodes,
                         balance_prunes=balance, own_prunes=own,
                         neighbour_prunes=neighbour, max_depth=max_depth,
-                        blocks_recorded=len(memo), blocks_replayed=replayed)
+                        blocks_recorded=len(memo), blocks_replayed=replayed,
+                        swapped=bool(swap))

@@ -204,6 +204,7 @@ def test_search_trace_leaves_stdout_unchanged(capsys, argv):
     assert set(trace["prunes"]) == {"balance", "own", "neighbour"}
     assert set(trace["blocks"]) == {"recorded", "replayed"}
     assert (trace["stop_reason"] == "complete") == summary["exhaustive"]
+    assert trace["swapped"] == (summary["b"] < summary["c"])
     if summary["found"]:
         assert trace["max_depth"] == 1 << summary["n"]
     if summary["n"] == 12:  # 64 blocks, most of them replayed

@@ -20,6 +20,7 @@ from boolcube.cube_core import index_to_vertex
 from boolcube.search import _check_feasible, canonical_mask
 
 from conftest import HAMMING7_WORDS, cor_by_definition
+from search_coverage import coverage
 from search_oracles import reference_backtrack, reference_canonical_mask
 
 
@@ -326,6 +327,24 @@ def test_engines_agree_on_every_target(args):
         _outcome(enumerate_perfect, n, target)
 
 
+# The feasible cells at n <= 10 that a first-coloring search misses within
+# 10^5 nodes (tests/search_coverage.py prints every cell at n <= 12).  Both
+# orders of (3, 5) miss from n = 7 up; (7, 3, 5), searched as its colour
+# swap (7, 5, 3), is found only after 349 934 nodes.
+MISSED_AT_N_UP_TO_10 = {(n, b, c) for n in range(7, 11)
+                        for b, c in ((3, 5), (5, 3))}
+
+
+def test_search_coverage_at_n_up_to_10():
+    results = coverage(10, 10 ** 5)
+    assert len(results) == 102
+    missed = {cell for cell, r in results.items() if not r.found}
+    assert missed == MISSED_AT_N_UP_TO_10
+    for (n, b, c), r in results.items():
+        assert r.swapped == (b < c)
+        assert r.stop_reason == ("max_results" if r.found else "budget")
+
+
 def test_backtrack_matches_enumerate_n_le_3():
     for n in (2, 3):
         targets = {(check_perfect(S).matrix.b, check_perfect(S).matrix.c)
@@ -366,7 +385,10 @@ def _masks_digest(sets):
 # (n, b, c, budget, max_results) -> nodes, found, exhaustive and the SHA-256
 # of the found masks in hex, comma-joined in found order; recorded from the
 # recursive search with a per-vertex neighbor table that the flat loop
-# replaced, which must keep its traversal node for node.
+# replaced, which must keep its traversal node for node.  A b < c target
+# runs the traversal of its colour swap (c, b) and returns the complements:
+# its entry is the (c, b) search, recorded before b < c was swapped, with
+# the digest of the complemented masks.
 GOLDEN_TRAVERSALS = [
     ((4, 2, 2, 10 ** 7, None), 768, 36, True,
      "ac60812451283203481cf8de509db72f1710ad99ece91de0ec3935896e41603a"),
@@ -374,15 +396,15 @@ GOLDEN_TRAVERSALS = [
      "823c9c7596efa1179be8ae82ec2d77887ed7858b61b1313475e5e853c2246cd2"),
     ((6, 6, 2, 10 ** 7, None), 16895, 60, True,
      "68823c77f77a228a4bfd3d9040e120f9a9473485693c89055d6a8272e594c344"),
-    ((8, 2, 6, 1024, 1), 1025, 0, False,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((8, 2, 6, 1024, 1), 448, 1, False,
+     "f14030be0b0b278cc5d181dd26138b4b572487aa00f5b60bc58298b2ce330ac3"),
     ((12, 4, 4, 16384, 1), 6144, 1, False,
      "b96586573e284585d8bae4b68e6272237d31b2dea7b770c5f663a33d1a575591"),
     # recorded from the two-counter loop that the room-counter kernel
-    # replaced: a b < c budget miss, a first-found run, and a complete search
-    # stopped by its budget after 13 leaves
-    ((11, 3, 9, 8192, 1), 8193, 0, False,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # replaced: a b < c target (its swap's, as above), a first-found run, and
+    # a complete search stopped by its budget after 13 leaves
+    ((11, 3, 9, 8192, 1), 3584, 1, False,
+     "aa23ce467f469fec42311f287670dd8df60e493b3db22c572d916bdd14acb831"),
     ((13, 5, 5, 32768, 1), 12032, 1, False,
      "361e06b4fbe377591828461f1791c473becead5dbfed899912285167e2e18862"),
     ((6, 2, 2, 3000, None), 3001, 13, False,
@@ -531,29 +553,41 @@ def test_backtrack_matches_two_counter_reference(target, budget, max_results):
     _assert_matches_reference(*target, budget, max_results)
 
 
+def _searched(target, s_target):
+    """The (b, c) and |S| that the search runs for `target`: its colour swap
+    when b < c, whose colorings are the complements of the target's."""
+    if target.b < target.c:
+        return target.c, target.b, (1 << target.n) - s_target
+    return target.b, target.c, s_target
+
+
 def _assert_matches_reference(target, s_target, budget, max_results):
     n = target.n
     r = backtrack_search(n, target, budget=budget, max_results=max_results)
     nodes, stop, masks, prunes, max_depth = reference_backtrack(
-        n, target.b, target.c, s_target, budget, max_results)
+        n, *_searched(target, s_target), budget, max_results)
+    full = (1 << (1 << n)) - 1 if target.b < target.c else 0
+    assert r.swapped == (target.b < target.c)
     assert (r.nodes, r.stop_reason) == (nodes, stop)
-    assert [S.mask for S in r.found] == masks
+    assert [S.mask for S in r.found] == [m ^ full for m in masks]
     assert (r.balance_prunes, r.own_prunes, r.neighbour_prunes) == prunes
     assert r.max_depth == max_depth
 
 
 # Targets past one 2^BLOCK_BITS-vertex block (n = 7..11) whose search goes
-# back below a block boundary and later crosses it again: b < c budget
-# misses ((10, 2, 6) reaches depth 272 > 256), and runs that go on past a
-# first coloring.
+# back below a block boundary and later crosses it again: budget misses in
+# both colour orders ((10, 5, 3) reaches depth 352 > 256), runs that go on
+# past a first coloring, and one of them as the colour swap of a b < c
+# target.
 @pytest.mark.parametrize("n,b,c,budget,max_results", [
     (7, 3, 3, 20000, 7),
     (8, 4, 4, 20000, 10),
     (9, 1, 1, 20000, 4),
     (9, 6, 2, 20000, 3),
-    (10, 2, 6, 4096, 1),
+    (9, 2, 6, 20000, 3),
+    (10, 5, 3, 4096, 1),
     (10, 1, 1, 20000, 6),
-    (11, 3, 9, 8192, 1),
+    (11, 5, 3, 8192, 1),
     (11, 2, 2, 20000, 3),
 ])
 def test_backtrack_matches_reference_across_block_boundaries(
@@ -561,9 +595,9 @@ def test_backtrack_matches_reference_across_block_boundaries(
     steps = []
     cross = search._cross
 
-    def logged(packed, rows, color, d, step, flips):
+    def logged(packed, rows, taken, d, step, flips):
         steps.append(step)
-        return cross(packed, rows, color, d, step, flips)
+        return cross(packed, rows, taken, d, step, flips)
 
     monkeypatch.setattr(search, "_cross", logged)
     target = ParameterMatrix(n, b, c)
@@ -614,20 +648,26 @@ def _logged_block_entries(monkeypatch, target, s_target, budget, max_results):
     1 up, -1 down, None not at all.  Returns the result, the entries and
     the log of (step, d, key)."""
     size = 1 << target.n
-    log = []
-    cross = search._cross
+    s_target = _searched(target, s_target)[2]
+    log, colors = [], []
+    cross, take = search._cross, search._taken
 
-    def logged(packed, rows, color, d, step, flips):
-        rows, flags = cross(packed, rows, color, d, step, flips)
+    def logged_taken(color, d):  # the first crossing comes after a call
+        colors.append(color)
+        return take(color, d)
+
+    def logged(packed, rows, taken, d, step, flips):
+        rows, flags = cross(packed, rows, taken, d, step, flips)
         key = None
         if step == 1:
-            in_s = color[:d].count(1)
+            in_s = colors[0][:d].count(1)
             key = (packed[d >> search.BLOCK_BITS], flags,
                    min(s_target - in_s, search.WIDTH),
                    min(in_s + size - d - s_target, search.WIDTH))
         log.append((step, d, key))
         return rows, flags
 
+    monkeypatch.setattr(search, "_taken", logged_taken)
     monkeypatch.setattr(search, "_cross", logged)
     r = backtrack_search(target.n, target, budget=budget,
                          max_results=max_results)
@@ -652,8 +692,8 @@ def _logged_block_entries(monkeypatch, target, s_target, budget, max_results):
 # so the loop runs); retreats from the last block into a replayed block,
 # which resume from its stored exit rows; replays keyed on a balance margin
 # below 64 ((14, 1, 1) fills S by vertex 2^13); keys with a margin between
-# 32 and 64, which a clip at 32 would merge; and b < c misses whose
-# recordings are dropped when their block fails.
+# 32 and 64, which a clip at 32 would merge; and misses in both colour
+# orders whose recordings are dropped when their block fails.
 @pytest.mark.parametrize("n,b,c,budget,max_results,path", [
     (12, 4, 4, 16384, 1, "mostly replayed"),
     (14, 2, 2, 10 ** 5, 1, "mostly replayed"),
@@ -664,8 +704,8 @@ def _logged_block_entries(monkeypatch, target, s_target, budget, max_results):
     (13, 1, 1, 10 ** 5, 3, "resume from a replayed block"),
     (14, 1, 1, 10 ** 5, 1, "clipped margin"),
     (9, 7, 1, 200000, 3, "margin between 32 and 64"),
-    (10, 2, 6, 4096, 1, "dropped recording"),
-    (11, 3, 9, 8192, 1, "dropped recording"),
+    (10, 5, 3, 4096, 1, "dropped recording"),
+    (11, 5, 3, 8192, 1, "dropped recording"),
 ])
 def test_block_replay_matches_reference(monkeypatch, n, b, c, budget,
                                         max_results, path):
