@@ -1,5 +1,6 @@
-"""Constructions of known perfect colorings (affine, Hamming code, half-cube)
-and exhaustive / backtracking discovery of perfect 2-colorings at small n."""
+"""Constructions of known perfect colorings (affine, Hamming code, half-cube),
+each a lift of a perfect coloring of a Cayley graph on E^m, and exhaustive /
+backtracking discovery of perfect 2-colorings at small n."""
 from __future__ import annotations
 
 import inspect
@@ -9,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .cube_core import (N_MAX, VertexSet, _check_dimension, _check_vertex,
-                        _membership_array, _pack, complement, index_to_vertex,
+                        _membership_array, _pack, index_to_vertex,
                         vertex_index)
 from .coloring import ParameterMatrix, _all_subsets, check_perfect
 from .theorem import _fdf_ok
@@ -19,20 +20,23 @@ class Infeasible(ValueError):
     """No perfect coloring has the target (b, c) in this dimension."""
 
 
-def _odd_parity_mask(n: int, v: int) -> int:
-    """Bitmask over 2^n positions selecting indices i with popcount(i & v)
-    odd, one index bit k at a time: the 2^k indices with bit k set repeat
-    the parities of the 2^k below, flipped when bit k of v is set."""
-    odd = 0
-    for k in range(n):
-        w = 1 << k
-        odd |= (odd ^ ((1 << w) - 1) if v >> k & 1 else odd) << w
-    return odd
+def _lift(gens: list, base: VertexSet) -> VertexSet:
+    """phi^{-1}(base) in E^n, n = len(gens), phi(x) = XOR of gens[i - 1] in
+    E^m over the coordinates i set in x: a perfect (b, c) coloring of the
+    multigraph Cay(E^m; gens) lifts to one of E^n.  pre[s] masks the indices
+    that phi maps to s, one index bit p (coordinate n - p) at a time."""
+    n = len(gens)
+    pre = [1] + [0] * ((1 << base.n) - 1)
+    for p in range(n):
+        g, w = gens[n - 1 - p], 1 << p
+        pre = [pre[s] | pre[s ^ g] << w for s in range(len(pre))]
+    return VertexSet(n, sum(pre[s] for s in base.member_indices()))
 
 
 def hamming_code(m: int) -> VertexSet:
     """Codewords of the kernel of the parity-check matrix whose columns are
-    the binary expansions of 1..n, n = 2^m - 1."""
+    the binary expansions of 1..n, n = 2^m - 1: the lift of {0} in
+    Cay(E^m; 1..n) = K_{2^m}."""
     if m < 2:
         raise ValueError("hamming construction needs m >= 2")
     if m > N_MAX.bit_length():  # then 2^m - 1 > N_MAX: bound m before 2^m
@@ -40,27 +44,19 @@ def hamming_code(m: int) -> VertexSet:
                          "2^m - 1 > %d" % (m, N_MAX))
     n = (1 << m) - 1
     _check_dimension(n)
-    # Bit p of an index (from the LSB) is coordinate n - p, whose column is
-    # the binary expansion of n - p; syndrome bit j is the parity of the
-    # index's bits p with bit j of n - p set.
-    nonzero = 0
-    for j in range(m):
-        row = sum(1 << p for p in range(n) if (n - p) >> j & 1)
-        nonzero |= _odd_parity_mask(n, row)
-    return complement(VertexSet(n, nonzero))
+    return _lift(list(range(1, n + 1)), VertexSet(m, 1))
 
 
 def affine_coloring(n: int, v: str, eps: int = 0) -> VertexSet:
-    """{x : <x, v> = eps}; a perfect coloring with b = c = wt(v)."""
+    """{x : <x, v> = eps}; a perfect coloring with b = c = wt(v): the lift of
+    {eps} in Cay(E^1; v_1..v_n)."""
     _check_dimension(n)
     _check_vertex(v, n)
-    vi = vertex_index(v)
-    if vi == 0:
+    if vertex_index(v) == 0:
         raise ValueError("affine construction needs a nonzero vector")
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
-    odd = VertexSet(n, _odd_parity_mask(n, vi))
-    return odd if eps else complement(odd)
+    return _lift([int(ch) for ch in v], VertexSet(1, 1 << int(eps)))
 
 
 def half_cube(n: int, coord: int = 1) -> VertexSet:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolcube import (Infeasible, ParameterMatrix, SweepSummary, VertexSet,
-                      cli, spectral)
+                      check_perfect, cli, spectral)
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
 from boolcube.search import _check_feasible
@@ -156,6 +159,68 @@ def test_construct_rejects_another_kinds_parameter_exit2(capsys, argv,
                                                          message):
     code, out, err = run_cli(capsys, ["construct"] + argv)
     assert (code, out, err) == (2, "", "invalid parameters: %s\n" % message)
+
+
+# invalid values of each flag: argparse rejects some, the builders the rest
+_CONSTRUCT_INVALID = {
+    "--m": ["1", "0", "5", "6", "-3", "2.5", "x", ""],
+    "--n": ["0", "25", "-1", "3.5", "y"],
+    "--v": ["0", "000", "012", "abc", "1 1", "1101101", ""],
+    "--eps": ["2", "-1", "e"],
+    "--coord": ["0", "7", "-2", "z"],
+}
+_CONSTRUCT_TAKES = {"hamming": {"--m"}, "affine": {"--n", "--v", "--eps"},
+                    "half-cube": {"--n", "--coord"}}
+
+
+@st.composite
+def _construct_argvs(draw):
+    """construct argvs: each flag present or absent (the kind's own flags
+    mostly present, the others mostly absent), each value drawn from the
+    valid ones for a drawn n <= 6 or, one time in four, from the invalid."""
+    kind = draw(st.sampled_from(sorted(_CONSTRUCT_TAKES)))
+    n = draw(st.integers(1, 6))
+    valid = {"--m": st.sampled_from(["2", "3", "4"]),
+             "--n": st.just(str(n)),
+             "--v": st.integers(1, (1 << n) - 1).map(
+                 lambda v: format(v, "0%db" % n)),
+             "--eps": st.sampled_from(["0", "1"]),
+             "--coord": st.integers(1, n).map(str)}
+    argv = ["construct", kind]
+    for flag, bad in _CONSTRUCT_INVALID.items():
+        if (draw(st.integers(0, 7)) > 0) == (flag in _CONSTRUCT_TAKES[kind]):
+            argv += [flag, draw(valid[flag] if draw(st.integers(0, 3))
+                                else st.sampled_from(bad))]
+    if draw(st.booleans()):
+        argv.append("--as-mask")
+    return argv
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_construct_argvs())
+def test_construct_contract(argv):
+    """Every argv exits 0 or 2 with no traceback, and every exit-0 output is
+    a perfect coloring with the kind's documented (b, c)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        return
+    flags = dict(zip(argv[2::2], argv[3::2]))  # drops a final --as-mask
+    S = parse_document(json.loads(out.getvalue()))
+    m = check_perfect(S).matrix
+    if argv[1] == "hamming":
+        assert (S.n, m.b, m.c) == ((1 << int(flags["--m"])) - 1, S.n, 1)
+        return
+    assert S.n == int(flags["--n"])
+    w = flags["--v"].count("1") if argv[1] == "affine" else 1
+    assert (m.b, m.c) == (w, w)
 
 
 @pytest.mark.parametrize("argv,default", [

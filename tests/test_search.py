@@ -17,7 +17,7 @@ from boolcube import (N_MAX, Infeasible, ParameterMatrix, VertexSet,
                       verify)
 from boolcube import search
 from boolcube.cube_core import index_to_vertex
-from boolcube.search import _check_feasible, canonical_mask
+from boolcube.search import _check_feasible, _lift, canonical_mask
 
 from conftest import HAMMING7_WORDS, cor_by_definition
 from search_coverage import coverage
@@ -90,6 +90,54 @@ def test_hamming_code_matches_numpy_membership(m):
     bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
     syndrome = np.bitwise_xor.reduce(bits * (n - np.arange(n)), axis=1)
     assert hamming_code(m).mask == _numpy_mask(syndrome == 0)
+
+
+@st.composite
+def _lift_cases(draw):
+    """m <= 4, n <= 10 generators in E^m with a zero one and a repeated one
+    among them, in any order, and a base mask over E^m."""
+    m = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1,
+                         max_size=8))
+    gens = draw(st.permutations(gens + [0, gens[0]]))
+    return gens, VertexSet(m, draw(st.integers(0, (1 << (1 << m)) - 1)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_lift_cases())
+def test_lift_matches_its_definition(case):
+    """x is in the lift iff phi(x), the XOR of the generators of the
+    coordinates i set in x (coordinate i is index bit n - i), is in base."""
+    gens, base = case
+    n = len(gens)
+    S = _lift(gens, base)
+    assert S.n == n
+    for x in range(1 << n):
+        phi = 0
+        for i in range(1, n + 1):
+            if x >> (n - i) & 1:
+                phi ^= gens[i - 1]
+        assert S.mask >> x & 1 == base.mask >> phi & 1
+
+
+# a (6, 3, 5) coloring of E^6 (|S| = 40) that no builder makes
+SEED_635 = VertexSet(6, 0xe9675bbc3ddae697)
+
+
+@pytest.mark.parametrize("gens,b,c,size", [
+    # block parity: each unit generator twice doubles b and c
+    ([1 << (6 - i) for i in range(1, 7) for _ in (0, 1)], 6, 10, 2560),
+    # a cylinder: a zero generator is a loop, a free coordinate
+    ([1 << (6 - i) for i in range(1, 7)] + [0], 3, 5, 80),
+])
+def test_lift_of_the_635_seed_is_perfect(gens, b, c, size):
+    """A perfect coloring of Cay(E^6; gens) lifts to one of E^n with the
+    same (b, c), which the equality case makes slack 0."""
+    assert check_perfect(SEED_635).matrix.rows == ((3, 3), (5, 1))
+    S = _lift(gens, SEED_635)
+    m = check_perfect(S).matrix
+    assert (S.n, m.b, m.c, S.size) == (len(gens), b, c, size)
+    assert verify(S).slack == 0
 
 
 def test_hamming_construction():
