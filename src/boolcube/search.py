@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -200,9 +201,34 @@ BLOCK_BITS = 6  # backtrack_search keeps the rooms of 2^6 vertices in one int
 WIDTH = 1 << BLOCK_BITS
 ONES = (1 << 16 * WIDTH) // 255  # 1 in each byte lane: (color, vertex)
 FULL = 127 * ONES  # rooms are < 128: + FULL sets a lane's top bit iff not 0
-# per lane (color * WIDTH + vertex), the lanes of its neighbors in the block
-LANE_NEIGHBORS = tuple(tuple(lane ^ 1 << k for k in range(BLOCK_BITS))
-                       for lane in range(2 * WIDTH))
+# the top bit of each lane: as rooms and masks are <= n < 128, in
+# (rows | GUARD) - mask no lane borrows, and one keeps its bit iff room >= 0
+GUARD = 128 * ONES
+# per vertex of a block, the guard bits of its own two lanes
+OWN_GUARD = tuple(128 << 8 * low | 128 << 8 * (WIDTH + low)
+                  for low in range(WIDTH))
+
+
+@lru_cache(maxsize=None)
+def _masks(k: int, drop1: tuple, drop0: tuple) -> tuple:
+    """Per color and vertex of a block, what coloring the vertex takes from
+    the block's rooms: 1 in that color's lane of each of its k neighbors in
+    the block (k < BLOCK_BITS: one block, part of it unused), and the
+    color's drops in its own two lanes."""
+    return tuple(tuple(sum(1 << 8 * (col * WIDTH + (low ^ 1 << j))
+                           for j in range(k))
+                       + (drop1[col] << 8 * (WIDTH + low))
+                       + (drop0[col] << 8 * low) for low in range(WIDTH))
+                 for col in (0, 1))
+
+
+def _rooms(n: int, b: int, c: int) -> tuple:
+    """The rooms each block of a (b, c) search starts with, and its masks."""
+    need = (c, n - b)  # required in-S neighbors, by color
+    lo, hi = min(need), max(need)
+    return (((hi << 8 * WIDTH) + n - lo) * (ONES >> 8 * WIDTH),
+            _masks(min(n, BLOCK_BITS), (hi - need[0], hi - need[1]),
+                   (need[0] - lo, need[1] - lo)))
 
 
 def _taken(color: bytearray, d: int) -> int:
@@ -247,9 +273,11 @@ def backtrack_search(n: int, target: ParameterMatrix,
     room for a color is how many more neighbors of that color it can take
     and still meet a requirement (its own, once it is colored).  The rooms
     of a block of 2^BLOCK_BITS vertices are one int, a byte lane per (color,
-    vertex).  d's block is open as a list; its neighbors in other blocks are
-    checked by one flag, and lose their room when the block is left upward.
-    Prunes and the deepest node are counted on prune and retreat paths only.
+    vertex).  A node subtracts d's mask from the open block's rooms with the
+    top bit of every lane set, which a lane clears iff its room goes below
+    0; d's neighbors in other blocks are checked by one flag, and lose their
+    room when the block is left upward.  Prunes and the deepest node are
+    counted on prune and retreat paths only.
 
     The first run up through a block from each entry state (its rooms and
     flags, and the balance margins clipped at the block width) is recorded:
@@ -268,19 +296,9 @@ def backtrack_search(n: int, target: ParameterMatrix,
     size = 1 << n
     swap = int(target.b < target.c)  # then search the complements: (c, b)
     s_target = size - s_target if swap else s_target
-    # required in-S neighbors, by color
-    need = (target.b, n - target.c) if swap else (target.c, n - target.b)
-    lo_need, hi_need = min(need), max(need)
-    # what coloring d with each color takes from d's own two rooms
-    drop1 = (hi_need - need[0], hi_need - need[1])
-    drop0 = (need[0] - lo_need, need[1] - lo_need)
-    # below 2^BLOCK_BITS vertices, one block, part of it unused
-    nbrs = [lanes[:n] for lanes in LANE_NEIGHBORS] if n < BLOCK_BITS \
-        else LANE_NEIGHBORS
+    rows, masks = _rooms(n, max(target.b, target.c), min(target.b, target.c))
     flips = [1 << k for k in range(n - BLOCK_BITS)]  # to the neighbor blocks
-    packed = [((hi_need << 8 * WIDTH) + n - lo_need) * (ONES >> 8 * WIDTH)
-              ] * max(1, size >> BLOCK_BITS)
-    rows = list(packed[0].to_bytes(2 * WIDTH, "little"))
+    packed = [rows] * max(1, size >> BLOCK_BITS)
     flags = bytes(2 * WIDTH)  # no room starts at 0, as b, c >= 1
 
     color = bytearray(size)  # meaningful below the cursor only
@@ -305,37 +323,24 @@ def backtrack_search(n: int, target: ParameterMatrix,
             if nodes > budget:
                 stop = "budget"
                 break
-            own1 = rows[WIDTH + low] - drop1[col]
-            own0 = rows[low] - drop0[col]
-            if own1 < 0 or own0 < 0:
+            left = (rows | GUARD) - masks[col][low]
+            if left & OWN_GUARD[low] != OWN_GUARD[low]:
                 own += 1
                 col -= 1
                 continue
-            lane = WIDTH + low if col else low
-            left = -flags[lane]  # -1: a neighbor in another block is full
-            for u in () if left else nbrs[lane]:
-                left = rows[u] - 1
-                rows[u] = left
-                if left < 0:  # give back what it took, up to u
-                    for v in nbrs[lane]:
-                        rows[v] += 1
-                        if v == u:
-                            break
-                    break
-            if left < 0:
+            # a neighbor in another block, or one in this block, is full
+            if flags[WIDTH + low if col else low] or left & GUARD != GUARD:
                 neighbour += 1
                 col -= 1
                 continue
             color[d] = col
             in_s += col
-            rows[WIDTH + low] = own1
-            rows[low] = own0
+            rows = left ^ GUARD
             if d + 1 < size:
                 d += 1
                 low = d & (WIDTH - 1)
                 col = 1
                 if not low:
-                    rows = int.from_bytes(bytearray(rows), "little")
                     taken = _taken(color, d)
                     if rec is not None:  # the recorded block's first way up
                         memo[rec[0]] = (bytes(color[d - WIDTH:d]), rows, taken,
@@ -361,7 +366,6 @@ def backtrack_search(n: int, target: ParameterMatrix,
                         replayed += 1
                         rows, flags = _cross(packed, hit[1], hit[2], d, 1,
                                              flips)
-                    rows = list(rows.to_bytes(2 * WIDTH, "little"))
                     flags = flags.to_bytes(2 * WIDTH, "little")
                 continue
             S = VertexSet(n, _pack(np.frombuffer(color, np.uint8) ^ swap))
@@ -378,10 +382,8 @@ def backtrack_search(n: int, target: ParameterMatrix,
             if d > max_depth:
                 max_depth = d
             if not low:
-                rows, flags = _cross(packed,
-                                     int.from_bytes(bytearray(rows), "little"),
-                                     _taken(color, d), d, -1, flips)
-                rows = list(rows.to_bytes(2 * WIDTH, "little"))
+                rows, flags = _cross(packed, rows, _taken(color, d), d, -1,
+                                     flips)
                 flags = flags.to_bytes(2 * WIDTH, "little")
                 rec = None  # the recorded block, if any, failed
             d -= 1
@@ -389,10 +391,7 @@ def backtrack_search(n: int, target: ParameterMatrix,
         # retract the color of d and go on to the next one
         col = color[d]
         in_s -= col
-        for u in nbrs[WIDTH + low if col else low]:
-            rows[u] += 1
-        rows[WIDTH + low] += drop1[col]
-        rows[low] += drop0[col]
+        rows += masks[col][low]
         col -= 1
     max_depth = max(max_depth, d)
     return SearchResult(n, tuple(found), stop_reason=stop, nodes=nodes,

@@ -17,7 +17,7 @@ from boolcube import (Infeasible, ParameterMatrix, SweepSummary, VertexSet,
                       check_perfect, cli, spectral)
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
-from boolcube.search import _check_feasible
+from boolcube.search import _check_feasible, canonical_mask
 
 from conftest import HAMMING7_WORDS
 
@@ -231,6 +231,69 @@ def test_construct_defaults_match_the_explicit_flag(capsys, argv, default):
     code, out, _ = run_cli(capsys, ["construct"] + argv)
     assert code == 0
     assert run_cli(capsys, ["construct"] + argv + default) == (0, out, "")
+
+
+# invalid values of each search flag: argparse rejects some, the CLI's flag
+# rules and the engines the rest
+_SEARCH_INVALID = {
+    "--n": ["0", "-1", "25", "3.5", "x"],
+    "--b": ["0", "-2", "11", "1.5", "b"],
+    "--c": ["0", "-3", "12", "c"],
+    "--budget": ["-1", "-100", "1e3", "z"],
+    "--max-results": ["0", "-1", "2.0", "m"],
+}
+_SEARCH_SWITCHES = ["--canonical", "--as-mask", "--trace"]
+
+
+@st.composite
+def _search_argvs(draw):
+    """search argvs: each flag present or absent (mostly present), its
+    value drawn from the valid ones for a drawn n <= 10 or, one time in
+    eight, from the invalid; --exhaustive one time in four.  The budget,
+    valid at most 4096, is left to its default of 10^7 nodes only at
+    n <= 4, where every search is complete within 10^3."""
+    n = draw(st.integers(1, 10))
+    valid = {"--n": st.just(str(n)),
+             "--b": st.integers(1, n).map(str),
+             "--c": st.integers(1, n).map(str),
+             "--budget": st.integers(0, 4096).map(str),
+             "--max-results": st.integers(1, 5).map(str)}
+    argv = ["search"]
+    for flag, bad in _SEARCH_INVALID.items():
+        if draw(st.integers(0, 15)) or flag == "--budget" and n > 4:
+            argv += [flag, draw(valid[flag] if draw(st.integers(0, 7))
+                                else st.sampled_from(bad))]
+    if not draw(st.integers(0, 3)):
+        argv.append("--exhaustive")
+    return argv + [s for s in _SEARCH_SWITCHES if draw(st.booleans())]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_search_argvs())
+def test_search_contract(argv):
+    """Every argv exits 0, 2 or 4 with no traceback and, unless 0, nothing
+    on stdout; every set of an exit-0 output is a perfect (b, c) coloring,
+    and under --canonical the sets are distinct translation classes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        return
+    res = json.loads(out.getvalue())
+    summary, sets = res["summary"], [parse_document(d) for d in res["sets"]]
+    target = ParameterMatrix(summary["n"], summary["b"], summary["c"])
+    assert summary["found"] == len(sets)
+    assert all(check_perfect(S).matrix == target for S in sets)
+    if "--canonical" in argv:
+        masks = [S.mask for S in sets]
+        assert len(set(masks)) == len(masks)
+        assert all(canonical_mask(S) == S.mask for S in sets)
 
 
 def test_search_n2(capsys):

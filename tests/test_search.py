@@ -622,11 +622,11 @@ def _assert_matches_reference(target, s_target, budget, max_results):
     assert r.max_depth == max_depth
 
 
-# Targets past one 2^BLOCK_BITS-vertex block (n = 7..11) whose search goes
+# Targets past one 2^BLOCK_BITS-vertex block (n = 7..12) whose search goes
 # back below a block boundary and later crosses it again: budget misses in
-# both colour orders ((10, 5, 3) reaches depth 352 > 256), runs that go on
-# past a first coloring, and one of them as the colour swap of a b < c
-# target.
+# both colour orders ((10, 5, 3) reaches depth 352 > 256, and (12, 11, 5)
+# crosses 4751 times, 2373 of them down), runs that go on past a first
+# coloring, and one of them as the colour swap of a b < c target.
 @pytest.mark.parametrize("n,b,c,budget,max_results", [
     (7, 3, 3, 20000, 7),
     (8, 4, 4, 20000, 10),
@@ -637,6 +637,7 @@ def _assert_matches_reference(target, s_target, budget, max_results):
     (10, 1, 1, 20000, 6),
     (11, 5, 3, 8192, 1),
     (11, 2, 2, 20000, 3),
+    (12, 11, 5, 100000, 1),
 ])
 def test_backtrack_matches_reference_across_block_boundaries(
         monkeypatch, n, b, c, budget, max_results):
@@ -652,6 +653,42 @@ def test_backtrack_matches_reference_across_block_boundaries(
     _assert_matches_reference(target, _check_feasible(n, target), budget,
                               max_results)
     assert 1 in steps[steps.index(-1):]  # down out of a block, then up again
+
+
+def _lanes(x):
+    return np.frombuffer(x.to_bytes(2 * search.WIDTH, "little"), np.uint8)
+
+
+def test_rooms_and_masks_borrow_from_no_other_lane():
+    """A node subtracts a mask from rooms whose lanes have their top bit
+    set; no borrow crosses a lane while every room and mask lane is at most
+    n < 128.  Each mask takes 1 from the lane of its color of each of the
+    vertex's min(n, 6) neighbors in the block, besides its own two lanes."""
+    width, low = search.WIDTH, np.arange(search.WIDTH)
+    checked = set()
+    for n in range(1, N_MAX + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                target = ParameterMatrix(n, b, c)
+                try:
+                    s_target = _check_feasible(n, target)
+                except Infeasible:
+                    continue
+                b_, c_, _ = _searched(target, s_target)
+                rows, masks = search._rooms(n, b_, c_)
+                assert _lanes(rows).max() <= n < 128
+                if (n, masks) in checked:
+                    continue
+                checked.add((n, masks))
+                table = np.array([[_lanes(m) for m in col] for col in masks])
+                assert table.max() <= n
+                for col in (0, 1):
+                    neighbors = table[col].copy()
+                    neighbors[low, low] = neighbors[low, width + low] = 0
+                    want = np.zeros_like(neighbors)
+                    for k in range(min(n, search.BLOCK_BITS)):
+                        want[low, col * width + (low ^ 1 << k)] = 1
+                    assert (neighbors == want).all()
 
 
 def test_canonical_mask_matches_reference_on_e4_colorings():
