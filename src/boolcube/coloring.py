@@ -41,19 +41,18 @@ class ColoringVerdict:
 
 
 # Per mask byte b, 8 uint8 lanes read as one uint64: lane i holds vertex i's
-# membership, or its in-S neighbours over index bits 0-2 (_ADJ8: E^3 edges).
+# in-S neighbours over index bits 0-2 (_ADJ8: the edges of E^3).
 _ADJ8 = np.bitwise_count(np.arange(8)[:, None] ^ np.arange(8)) == 1
-_BYTE_MEMBERS = _BYTE_BITS.astype(np.uint8).view(np.uint64).ravel()
 _BYTE_COUNTS = (_BYTE_BITS @ _ADJ8).astype(np.uint8).view(np.uint64).ravel()
 
 
 def _neighbor_counts(S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """(membership array, per-vertex count of in-S neighbors) over E^n, in
-    uint8.  The byte tables give uint64 words of 8 lanes with index bits 0-2
-    done (lanes past 2^n < 8 are non-members); each bit k >= 3 adds the word
-    of u ^ 2^k to that of u.  A count is at most n < 256: no lane carries."""
+    uint8, read as uint64 words of 8 lanes: the mask bits unpacked, and the
+    counts over index bits 0-2 (lanes past 2^n < 8 are non-members); each
+    bit k >= 3 adds the word of u ^ 2^k to u's.  No lane carries: n < 256."""
     raw = _mask_bytes(S)
-    arr = _read_bytes(_BYTE_MEMBERS, raw, np.empty(raw.size, np.uint64))
+    arr = np.unpackbits(raw, bitorder="little").view(np.uint64)
     cnt = _read_bytes(_BYTE_COUNTS, raw, np.empty_like(arr))
     for k in range(S.n - 3):  # bit k + 3 pairs runs of 2^k words
         pairs = cnt.reshape(-1, 2, 1 << k)

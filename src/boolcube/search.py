@@ -123,11 +123,11 @@ def canonical_mask(S: VertexSet) -> int:
     index that splits no candidates stops the search when the candidates'
     differences all map S onto itself: then they all give the same
     translate.  That test runs at most once per 64 indices.  Memory is
-    O(2^n): one index of every candidate at a time.
+    O(2^n): one int32 index of every candidate at a time (n <= 24).
     """
     size = 1 << S.n
     member = _membership_array(S)
-    index = np.arange(size)
+    index = np.arange(size, dtype=np.int32)
     cand = index
     check = size
     for i in range(size - 1, -1, -1):

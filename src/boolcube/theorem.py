@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cube_core import VertexSet, complement
+from .cube_core import VertexSet
 from .spectral import transform
 from .macwilliams import (DistanceDistribution, DualDistribution,
                           inverse_macwilliams, macwilliams_from_spectrum)
@@ -48,29 +48,24 @@ class TheoremReport:
     distances: DistanceDistribution  # N, the inverse MacWilliams of dual
 
 
-def _normalize(S: VertexSet, allow_complement: bool) -> tuple[VertexSet, int, bool]:
-    size = S.size
-    total = 1 << S.n
-    if size == 0 or size == total:
-        raise ValueError("constant set: |S|=%d in E^%d has no analysis"
-                         % (size, S.n))
-    if 2 * size > total:
-        if not allow_complement:
-            raise ValueError("density above 1/2 and complementing is off; "
-                             "analyze the complement instead")
-        return complement(S), total - size, True
-    return S, size, False
-
-
 def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
-    """The whole analysis from one transform, read off the dual distribution
-    D of the analysed set T: cor from its support (D_0 = |T|^2 > 0), N_1 from
-    its P_1 row, the bounds from (n, rho, cor).  T is perfect iff D lives on
-    {0, k}; then b + c = 2k and rho = c/(b + c).  No neighbour scan runs:
-    the scan `check_perfect` is the ground truth the tests compare with."""
-    T, size, swapped = _normalize(S, allow_complement)
-    n = T.n
-    dual = macwilliams_from_spectrum(transform(T))
+    """The whole analysis from one transform of S, read off the dual D of
+    the analysed set T, the complement when rho > 1/2: D_k(T) = D_k(S) for
+    k >= 1 (off 0 their coefficients differ in sign only), D_0(T) = |T|^2.
+    cor is read off the support of D, N_1 off its P_1 row, the bounds off
+    (n, rho, cor); T is perfect iff D lives on {0, k}, and then b + c = 2k
+    and rho = c/(b + c).  No neighbour scan runs; `check_perfect` does that."""
+    n, size = S.n, S.size
+    if size == 0 or size == 1 << n:
+        raise ValueError("constant set: |S|=%d in E^%d has no analysis"
+                         % (size, n))
+    swapped = 2 * size > 1 << n
+    if swapped and not allow_complement:
+        raise ValueError("density above 1/2 and complementing is off; "
+                         "analyze the complement instead")
+    size = (1 << n) - size if swapped else size
+    duals = macwilliams_from_spectrum(transform(S)).duals
+    dual = DualDistribution(n, size, (size * size,) + duals[1:])
     distances = inverse_macwilliams(dual)
     n1 = distances.counts[1]
     cor = dual.support[1] - 1

@@ -7,19 +7,21 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolcube import (Infeasible, ParameterMatrix, SweepSummary, VertexSet,
-                      check_perfect, cli, spectral)
+                      check_perfect, cli, spectral, theorem)
 from boolcube.cli import (build_report, main, parse_document,
                           serialize_document)
 from boolcube.search import _check_feasible, canonical_mask
 
-from conftest import HAMMING7_WORDS
+from conftest import HAMMING7_WORDS, pairwise_distance_counts
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -294,6 +296,188 @@ def test_search_contract(argv):
         masks = [S.mask for S in sets]
         assert len(set(masks)) == len(masks)
         assert all(canonical_mask(S) == S.mask for S in sets)
+
+
+def _run_main(argv, stdin_text=None):
+    """(exit code, stdout, stderr) of `main(argv)` in-process, with stdin
+    replaced by `stdin_text` when given; an argparse rejection's SystemExit
+    is its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin if stdin_text is None else io.StringIO(stdin_text)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", stdin):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _hex_digits(n: int, mask: int) -> str:
+    """mask_hex by the documented layout, written here: the mask's
+    little-endian bytes in hex, one digit for n <= 2."""
+    if n <= 2:
+        return format(mask, "x")
+    return mask.to_bytes(1 << (n - 3), "little").hex()
+
+
+_BAD_N = [0, -1, 25, 10 ** 30, 1.5, "3", True, None, [3]]
+_BAD_VERTEX = [1, None, "", "2", "0 ", "٠", ["0"], {"v": "0"}]
+_BAD_BODY = [{}, {"vertices": "01"}, {"vertices": 7}, {"vertices": None},
+             {"mask_hex": 255}, {"mask_hex": ["00"]}, {"mask_hex": None}]
+
+
+@st.composite
+def _analyze_inputs(draw):
+    """(argv, stdin text, the set the text denotes or None if invalid):
+    a set of E^n, n <= 8, at a drawn density from empty to full, written
+    as a vertex list (shuffled, some repeated) or mask_hex (lower or upper
+    case, sometimes an extra key); or, one time in three, a broken one:
+    a bad n, a vertex of the wrong length or type, hex that is short, long,
+    spaced or not hex, a wrong type, both fields or neither, a document
+    that is not an object, or text that is not one.  The argv reads stdin,
+    with --json or without, and one time in four with --no-complement."""
+    n = draw(st.sampled_from(range(1, 9)))
+    size = 1 << n
+    density = draw(st.sampled_from([1, 2, 4, 6, 8, 10, 12, 14, 15, 0, 16]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    mask = sum(1 << i for i in range(size) if rng.randrange(16) < density)
+    S = VertexSet(n, mask)
+    vertices = [format(i, "0%db" % n) for i in range(size) if mask >> i & 1]
+    vertices += rng.choices(vertices, k=rng.randrange(3)) if vertices else []
+    rng.shuffle(vertices)
+    hexstr = _hex_digits(n, mask)
+    if draw(st.booleans()):
+        hexstr = hexstr.upper()
+    doc = {"n": n}
+    doc.update({"vertices": vertices} if draw(st.booleans())
+               else {"mask_hex": hexstr})
+    if not draw(st.integers(0, 7)):
+        doc["note"] = "ignored"
+    broken = draw(st.sampled_from(range(24)))
+    if broken == 1:
+        doc["n"] = draw(st.sampled_from(_BAD_N))
+    elif broken == 2:
+        del doc["n"]
+    elif broken == 3:
+        pos = draw(st.integers(0, len(vertices)))
+        doc = {"n": n, "vertices": vertices[:pos]
+               + [draw(st.sampled_from(_BAD_VERTEX + ["0" * (n + 1)]))]
+               + vertices[pos:]}
+    elif broken == 4:
+        pos = draw(st.integers(0, len(hexstr) - 1))
+        doc = {"n": n, "mask_hex": draw(st.sampled_from([
+            hexstr[:pos] + hexstr[pos + 1:],          # short
+            hexstr[:pos] + "0" + hexstr[pos:],        # long
+            hexstr[:pos] + " " + hexstr[pos + 1:],    # spaced
+            hexstr[:pos] + "g" + hexstr[pos + 1:],    # not hex
+        ]))}
+    elif broken == 5:
+        doc = dict(draw(st.sampled_from(_BAD_BODY)), n=n)
+    elif broken == 6:
+        doc = {"n": n, "vertices": vertices, "mask_hex": hexstr}
+    elif broken == 7:
+        doc = draw(st.sampled_from([[doc], n, "doc", None]))
+    text = json.dumps(doc)
+    if broken == 8:  # no '{': never an object, whatever it parses to
+        text = draw(st.text(alphabet=st.characters(exclude_characters="{"),
+                            max_size=12))
+    argv = ["analyze"] + draw(st.sampled_from([[], ["-"]]))
+    argv += ["--json"] * draw(st.booleans())
+    argv += ["--no-complement"] * (draw(st.integers(0, 3)) == 0)
+    return argv, text, None if 1 <= broken <= 8 else S
+
+
+def _analyze_oracle(S: VertexSet) -> dict:
+    """The --json report on a non-constant S, n <= 8, by brute force: T (the
+    complement when rho > 1/2), N from its pairs, D from the Walsh sums
+    a_hat(v) = sum_{u in T} (-1)^wt(u & v), cor off those sums, the slack
+    n - N_1/|T| - 2(cor+1)(1 - rho) in Fractions, b and c from
+    check_perfect(T)."""
+    n, total = S.n, 1 << S.n
+    complemented = 2 * S.size > total
+    T = VertexSet(n, S.mask ^ (1 << total) - 1) if complemented else S
+    size, N = T.size, pairwise_distance_counts(T)
+    members = [u for u in range(total) if T.mask >> u & 1]
+    v = np.arange(total)
+    parity = np.bitwise_count(v[:, None] & members).astype(np.int64) & 1
+    a_hat = (1 - 2 * parity).sum(axis=1)
+    wt = np.bitwise_count(v)
+    D = [int((a_hat[wt == k] ** 2).sum()) for k in range(n + 1)]
+    cor = int(wt[(a_hat != 0) & (v > 0)].min()) - 1
+    rho, nei = Fraction(size, total), Fraction(N[1], size)
+    slack = n - nei - 2 * (cor + 1) * (1 - rho)
+    verdict = check_perfect(T)
+    assert slack >= 0 and (slack == 0) == verdict.is_perfect  # the theorem
+    m = verdict.matrix
+    frac = "{0.numerator}/{0.denominator}".format
+    return {
+        "version": cli.__version__, "n": n, "size": size,
+        "complemented": complemented, "rho": frac(rho), "cor": cor,
+        "nei": frac(nei), "lhs": frac(n - slack), "slack": frac(slack),
+        "is_perfect": verdict.is_perfect,
+        "matrix": m and {"b": m.b, "c": m.c,
+                         "rows": [list(r) for r in m.rows]},
+        "fdf_bound_ok": 2 * size == total or 3 * (cor + 1) <= 2 * n,
+        "bf_bound_ok": rho >= 1 - Fraction(n, 2 * (cor + 1)),
+        "distance_counts": N,
+        "distance_distribution": [frac(Fraction(x, size)) for x in N],
+        "dual_counts": D,
+        "dual_distribution": [frac(Fraction(d, size * size)) for d in D],
+        "spectral_support": [k for k, d in enumerate(D) if d],
+    }
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_analyze_inputs())
+def test_analyze_contract(case):
+    """Every document on stdin exits 0, 2 or 3 with no traceback and, unless
+    0, nothing on stdout: 2 for a broken document, 3 for a constant set or
+    a dense one under --no-complement, else 0; every exit-0 --json report
+    is the brute-force report of the set."""
+    argv, text, S = case
+    code, out, err = _run_main(argv, text)
+    assert code in (0, 2, 3), (argv, text, code)
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+    if S is None:
+        assert code == 2 and err.startswith("parse error: "), (text, err)
+        return
+    total = 1 << S.n
+    dense = 2 * S.size > total and "--no-complement" in argv
+    assert code == (3 if S.size in (0, total) or dense else 0), (text, err)
+    if code == 0 and "--json" in argv:
+        assert json.loads(out) == _analyze_oracle(S)
+
+
+_SWEEP_N = ["1", "2", "3", "4", "0", "5", "-1", "24", "x", "1.5"]
+_SWEEP_OUT = re.compile(
+    r"sweep n=(\d+): (\d+) subsets checked in \d+\.\d{3}s\n"
+    r"equality cases: (\d+), perfect colorings: (\d+), "
+    r"Bierbrauer-Friedman equality cases: (\d+)\nno violations\n")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_SWEEP_N), max_size=3))
+def test_sweep_contract(values):
+    """sweep with --n missing, given once, or repeated: exit 0 exactly when
+    every value is an integer and the last, the one that counts, is 1..4,
+    printing the counts of `theorem.sweep(n)`; else 2 with nothing on
+    stdout; never 5, never a traceback."""
+    argv = ["sweep"] + [arg for v in values for arg in ("--n", v)]
+    code, out, err = _run_main(argv)
+    ints = not {"x", "1.5"} & set(values)
+    assert code == (0 if ints and values[-1:] in (["1"], ["2"], ["3"], ["4"])
+                    else 2), argv
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        return
+    s = theorem.sweep(int(values[-1]))
+    assert _SWEEP_OUT.fullmatch(out).groups() == tuple(map(str, (
+        s.n, s.checked, s.equality_cases, s.perfect_count,
+        s.bf_equality_cases)))
 
 
 def test_search_n2(capsys):

@@ -5,7 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from boolcube import (VertexSet, complement, distance_distribution,
+from boolcube import (DualDistribution, VertexSet, complement,
+                      distance_distribution,
                       inverse_macwilliams, krawtchouk,
                       macwilliams_from_distances, macwilliams_from_spectrum,
                       make_set, transform, verify)
@@ -190,6 +191,18 @@ def test_translation_invariance_of_dual():
 def test_dual_of_empty_spectrum_rejected():
     with pytest.raises(ValueError):
         macwilliams_from_spectrum(transform(make_set(3, [])))
+
+
+def test_krawtchouk_rejects_dimension_0():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        krawtchouk(0)
+
+
+def test_inverse_macwilliams_rejects_an_unrealizable_dual():
+    # N_0 = (D_0 + D_1 + D_2)/4 = 2/4 is not whole: no set has this dual
+    with pytest.raises(ValueError, match="dual distribution is not "
+                                         "realizable: N_0 would be 2/4"):
+        inverse_macwilliams(DualDistribution(2, 1, (1, 1, 0)))
 
 
 def test_full_set_distribution():

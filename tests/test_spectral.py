@@ -226,6 +226,12 @@ def test_cor_order_direct_examples(hamming7):
     assert not cor_order_direct(make_set(3, ["000"]), 1)
 
 
+@pytest.mark.parametrize("t", [-1, 4, 10])
+def test_cor_order_direct_rejects_t_out_of_range(t):
+    with pytest.raises(ValueError, match=r"t=%d out of range \[0, 3\]" % t):
+        cor_order_direct(make_set(3, ["000"]), t)
+
+
 def test_cor_oracle_equivalence_exhaustive():
     # the labelled cross-check: verify reads cor off D, the oracle counts
     # the members on every face

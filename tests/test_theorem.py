@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from boolcube import (ParameterMatrix, VertexSet, check_perfect, complement,
-                      half_cube, make_set, sweep, verify)
+                      half_cube, make_set, sweep, transform, verify)
 from boolcube.cube_core import index_to_vertex
 
 from conftest import cor_by_definition, n1_direct, random_set
@@ -47,6 +48,31 @@ def test_verify_complements_dense_sets():
     assert r.slack == Fraction(5, 4)
     with pytest.raises(ValueError):
         verify(S, allow_complement=False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 14, 20])
+def test_verify_of_a_dense_set_is_verify_of_its_complement(n):
+    """verify reads T's dual off the spectrum of S itself: a dense S gives
+    the report of its complement, flagged, down to D and N."""
+    rng = random.Random(n)
+    for _ in range(4 if n < 14 else 1):
+        S = random_set(rng, n)
+        T = complement(S)
+        if 2 * S.size < 1 << n:
+            S, T = T, S
+        if 2 * S.size == 1 << n:
+            continue
+        assert verify(S) == replace(verify(T), complemented=True)
+
+
+def test_verify_transforms_S_itself(monkeypatch):
+    import boolcube.theorem as theorem
+    seen = []
+    monkeypatch.setattr(theorem, "transform",
+                        lambda S: seen.append(S) or transform(S))
+    S = complement(make_set(4, ["0000", "0110"]))  # rho = 7/8
+    assert verify(S).complemented
+    assert len(seen) == 1 and seen[0] is S
 
 
 @pytest.mark.parametrize("n,size,complemented", [
