@@ -34,6 +34,21 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, out.out, out.err
 
 
+def _run_main(argv, stdin_text=None):
+    """(exit code, stdout, stderr) of `main(argv)` in-process, with stdin
+    replaced by `stdin_text` when given; an argparse rejection's SystemExit
+    is its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin if stdin_text is None else io.StringIO(stdin_text)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", stdin):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_analyze_hamming(tmp_path, capsys):
     doc = tmp_path / "h7.json"
     doc.write_text(json.dumps({"n": 7, "vertices": HAMMING7_WORDS}))
@@ -203,19 +218,14 @@ def _construct_argvs(draw):
 def test_construct_contract(argv):
     """Every argv exits 0 or 2 with no traceback, and every exit-0 output is
     a perfect coloring with the kind's documented (b, c)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+    code, out, err = _run_main(argv)
     assert code in (0, 2), (argv, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code:
-        assert out.getvalue() == ""
+        assert out == ""
         return
     flags = dict(zip(argv[2::2], argv[3::2]))  # drops a final --as-mask
-    S = parse_document(json.loads(out.getvalue()))
+    S = parse_document(json.loads(out))
     m = check_perfect(S).matrix
     if argv[1] == "hamming":
         assert (S.n, m.b, m.c) == ((1 << int(flags["--m"])) - 1, S.n, 1)
@@ -276,18 +286,13 @@ def test_search_contract(argv):
     """Every argv exits 0, 2 or 4 with no traceback and, unless 0, nothing
     on stdout; every set of an exit-0 output is a perfect (b, c) coloring,
     and under --canonical the sets are distinct translation classes."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+    code, out, err = _run_main(argv)
     assert code in (0, 2, 4), (argv, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code:
-        assert out.getvalue() == ""
+        assert out == ""
         return
-    res = json.loads(out.getvalue())
+    res = json.loads(out)
     summary, sets = res["summary"], [parse_document(d) for d in res["sets"]]
     target = ParameterMatrix(summary["n"], summary["b"], summary["c"])
     assert summary["found"] == len(sets)
@@ -296,21 +301,6 @@ def test_search_contract(argv):
         masks = [S.mask for S in sets]
         assert len(set(masks)) == len(masks)
         assert all(canonical_mask(S) == S.mask for S in sets)
-
-
-def _run_main(argv, stdin_text=None):
-    """(exit code, stdout, stderr) of `main(argv)` in-process, with stdin
-    replaced by `stdin_text` when given; an argparse rejection's SystemExit
-    is its exit code."""
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin if stdin_text is None else io.StringIO(stdin_text)
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(sys, "stdin", stdin):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def _hex_digits(n: int, mask: int) -> str:
