@@ -2,9 +2,9 @@
 
 Exit codes: 0 ok, 2 parse/parameter error (a dimension outside [1, 24]
 for analyze and search or [1, 4] for search --exhaustive and sweep, or a
-construct parameter the kind does not take), 3 constant set or rejected
-dense set (--no-complement), 4 no (b, c) coloring on either search route
-(`Infeasible`), 5 sweep violation, 141 stdout closed by its reader.
+construct parameter the kind does not take), 3 constant set, 4 no (b, c)
+coloring on either search route (`Infeasible`), 5 sweep violation, 141
+stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -76,12 +76,12 @@ def serialize_document(S: VertexSet, as_mask: bool = False) -> dict:
     return {"n": S.n, "vertices": S.members()}
 
 
-def build_report(S: VertexSet, allow_complement: bool = True) -> dict:
+def build_report(S: VertexSet) -> dict:
     """Full analysis of one set; all rationals as "p/q" in lowest terms.
 
     Formats `verify`'s result: D and N, recovered exactly from D.
     """
-    rep = verify(S, allow_complement=allow_complement)
+    rep = verify(S)
     dual, dist = rep.dual, rep.distances
     return {
         "version": __version__,
@@ -140,7 +140,7 @@ def cmd_analyze(args) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     try:
-        rep = build_report(S, allow_complement=args.allow_complement)
+        rep = build_report(S)
     except ValueError as exc:
         print("rejected: %s" % exc, file=sys.stderr)
         return EXIT_CONSTANT
@@ -234,10 +234,6 @@ def cmd_sweep(args) -> int:
         print("VIOLATION at masks %s" % (summary.violations,),
               file=sys.stderr)
         return EXIT_VIOLATION
-    if summary.equality_cases != summary.perfect_count:
-        print("VIOLATION: equality cases != perfect colorings",
-              file=sys.stderr)
-        return EXIT_VIOLATION
     print("no violations")
     return EXIT_OK
 
@@ -253,9 +249,6 @@ def _parser() -> argparse.ArgumentParser:
     pa.add_argument("input", nargs="?", default=None,
                     help="document path (default: stdin)")
     pa.add_argument("--json", action="store_true", help="JSON report")
-    pa.add_argument("--no-complement", dest="allow_complement",
-                    action="store_false",
-                    help="reject sets with density above 1/2")
 
     pc = sub.add_parser("construct", help="emit a known perfect coloring")
     pc.add_argument("kind", choices=["hamming", "affine", "half-cube"])

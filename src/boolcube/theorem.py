@@ -48,24 +48,28 @@ class TheoremReport:
     distances: DistanceDistribution  # N, the inverse MacWilliams of dual
 
 
-def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
-    """The whole analysis from one transform of S, read off the dual D of
-    the analysed set T, the complement when rho > 1/2: D_k(T) = D_k(S) for
-    k >= 1 (off 0 their coefficients differ in sign only), D_0(T) = |T|^2.
-    cor is read off the support of D, N_1 off its P_1 row, the bounds off
-    (n, rho, cor); T is perfect iff D lives on {0, k}, and then b + c = 2k
-    and rho = c/(b + c).  No neighbour scan runs; `check_perfect` does that."""
+def verify(S: VertexSet) -> TheoremReport:
+    """The whole analysis from one transform of S.  The analysed set T is S,
+    or its complement when rho > 1/2; T's dual is read off S's spectrum:
+    D_k(T) = D_k(S) for k >= 1 (off 0 their coefficients differ in sign
+    only), D_0(T) = |T|^2.  `_report` reads the rest off that D."""
     n, size = S.n, S.size
     if size == 0 or size == 1 << n:
         raise ValueError("constant set: |S|=%d in E^%d has no analysis"
                          % (size, n))
     swapped = 2 * size > 1 << n
-    if swapped and not allow_complement:
-        raise ValueError("density above 1/2 and complementing is off; "
-                         "analyze the complement instead")
     size = (1 << n) - size if swapped else size
     duals = macwilliams_from_spectrum(transform(S)).duals
-    dual = DualDistribution(n, size, (size * size,) + duals[1:])
+    return _report(DualDistribution(n, size, (size * size,) + duals[1:]),
+                   swapped)
+
+
+def _report(dual: DualDistribution, complemented: bool) -> TheoremReport:
+    """The report of the analysed set T from its dual D alone: N by inverse
+    MacWilliams, N_1 its P_1 row, cor off the support of D, the bounds off
+    (n, rho, cor).  T is perfect iff D lives on {0, k}, and then b + c = 2k
+    and rho = c/(b + c).  No neighbour scan runs; `check_perfect` does that."""
+    n, size = dual.n, dual.size
     distances = inverse_macwilliams(dual)
     n1 = distances.counts[1]
     cor = dual.support[1] - 1
@@ -85,7 +89,7 @@ def verify(S: VertexSet, allow_complement: bool = True) -> TheoremReport:
         matrix=matrix,
         fdf_bound_ok=_fdf_ok(n, size, cor),
         bf_bound_ok=_bf_margin(n, size, cor) >= 0,
-        complemented=swapped,
+        complemented=complemented,
         dual=dual,
         distances=distances,
     )
@@ -120,25 +124,20 @@ class SweepSummary:
 
 def sweep(n: int) -> SweepSummary:
     """Exhaustive validation over every non-constant subset of E^n (n <= 4),
-    read off the exhaustive engine `_all_subsets(n)`.  For each subset
-    (complemented when rho > 1/2) it checks in exact integer arithmetic:
-    slack >= 0, slack = 0 iff the neighbour counts give a perfect coloring,
-    the same slack from the spectral N_1 as from the counted one, both prior
-    bounds, and that every Bierbrauer-Friedman equality case is perfect.
-    cor and one N_1 come from the Walsh spectra, the other N_1 and the
-    perfect verdict from the counts."""
+    read off the exhaustive engine `_all_subsets(n)`.  Each subset is checked
+    itself, as the theorem is stated, in exact integer arithmetic: slack >= 0,
+    slack = 0 iff the neighbour counts give a perfect coloring, the same
+    slack from the spectral N_1 as from the counted one, both prior bounds,
+    and that every Bierbrauer-Friedman equality case is perfect.  cor and
+    one N_1 come from the Walsh spectra, the other N_1 and the perfect
+    verdict from the counts."""
     s, n1, perfect, _, _, cor, n1_spec = _all_subsets(n)  # checks n first
-    size = 1 << n
-    masks = np.arange(len(s))
-    nonconst = (s > 0) & (s < size)
-
-    # complement when rho > 1/2 (cor is complement-invariant; perfect too)
-    eff = np.where(2 * s > size, masks ^ (len(s) - 1), masks)
-    slack_int = _slack_num(n, s[eff], n1[eff], cor)
+    nonconst = (s > 0) & (s < 1 << n)
+    slack_int = _slack_num(n, s, n1, cor)
 
     ok_a = slack_int >= 0
-    ok_b = (slack_int == 0) == perfect[eff]
-    ok_spec = _slack_num(n, s[eff], n1_spec[eff], cor) == slack_int
+    ok_b = (slack_int == 0) == perfect
+    ok_spec = _slack_num(n, s, n1_spec, cor) == slack_int
     bf = _bf_margin(n, s, cor)
     bf_eq = nonconst & (bf == 0)
     ok_bf_eq = ~bf_eq | perfect
@@ -150,6 +149,6 @@ def sweep(n: int) -> SweepSummary:
         checked=int(nonconst.sum()),
         equality_cases=int((nonconst & (slack_int == 0)).sum()),
         perfect_count=int(perfect.sum()),
-        violations=tuple(int(m) for m in masks[bad][:16]),
+        violations=tuple(int(m) for m in np.flatnonzero(bad)[:16]),
         bf_equality_cases=int(bf_eq.sum()),
     )

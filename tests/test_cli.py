@@ -114,11 +114,15 @@ def test_analyze_dense_set_complemented(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["complemented"] is True and rep["size"] == 1
-    code, out, err = run_cli(
-        capsys, ["analyze", str(doc), "--json", "--no-complement"])
-    assert (code, out) == (3, "")
-    assert err == ("rejected: density above 1/2 and complementing is off; "
-                   "analyze the complement instead\n")
+
+
+def test_analyze_no_complement_flag_is_gone():
+    """The removed --no-complement is an unknown option: argparse exits 2."""
+    doc = json.dumps({"n": 3, "vertices": ["001", "010", "100"]})
+    code, out, err = _run_main(["analyze", "--no-complement"], doc)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --no-complement" in err
+    assert "Traceback" not in err
 
 
 def test_construct_hamming(capsys):
@@ -326,7 +330,7 @@ def _analyze_inputs(draw):
     a bad n, a vertex of the wrong length or type, hex that is short, long,
     spaced or not hex, a wrong type, both fields or neither, a document
     that is not an object, or text that is not one.  The argv reads stdin,
-    with --json or without, and one time in four with --no-complement."""
+    with --json or without."""
     n = draw(st.sampled_from(range(1, 9)))
     size = 1 << n
     density = draw(st.sampled_from([1, 2, 4, 6, 8, 10, 12, 14, 15, 0, 16]))
@@ -374,7 +378,6 @@ def _analyze_inputs(draw):
                             max_size=12))
     argv = ["analyze"] + draw(st.sampled_from([[], ["-"]]))
     argv += ["--json"] * draw(st.booleans())
-    argv += ["--no-complement"] * (draw(st.integers(0, 3)) == 0)
     return argv, text, None if 1 <= broken <= 8 else S
 
 
@@ -422,9 +425,9 @@ def _analyze_oracle(S: VertexSet) -> dict:
 @given(_analyze_inputs())
 def test_analyze_contract(case):
     """Every document on stdin exits 0, 2 or 3 with no traceback and, unless
-    0, nothing on stdout: 2 for a broken document, 3 for a constant set or
-    a dense one under --no-complement, else 0; every exit-0 --json report
-    is the brute-force report of the set."""
+    0, nothing on stdout: 2 for a broken document, 3 for a constant set,
+    else 0; every exit-0 --json report is the brute-force report of the
+    set."""
     argv, text, S = case
     code, out, err = _run_main(argv, text)
     assert code in (0, 2, 3), (argv, text, code)
@@ -434,9 +437,7 @@ def test_analyze_contract(case):
     if S is None:
         assert code == 2 and err.startswith("parse error: "), (text, err)
         return
-    total = 1 << S.n
-    dense = 2 * S.size > total and "--no-complement" in argv
-    assert code == (3 if S.size in (0, total) or dense else 0), (text, err)
+    assert code == (3 if S.size in (0, 1 << S.n) else 0), (text, err)
     if code == 0 and "--json" in argv:
         assert json.loads(out) == _analyze_oracle(S)
 
@@ -798,12 +799,10 @@ def test_mask_hex_with_whitespace_exit2(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("violations,equality_cases,message", [
     ((5, 9), 6, "VIOLATION at masks (5, 9)"),
-    ((), 5, "VIOLATION: equality cases != perfect colorings"),
 ])
 def test_sweep_violation_exit5(monkeypatch, capsys, violations,
                                equality_cases, message):
-    """Both VIOLATION branches, from a summary with a failing mask and from
-    one whose equality cases are not its perfect colorings."""
+    """The one VIOLATION branch, from a summary with failing masks."""
     summary = SweepSummary(n=2, checked=14, equality_cases=equality_cases,
                            perfect_count=6, violations=violations,
                            bf_equality_cases=0)
@@ -811,6 +810,24 @@ def test_sweep_violation_exit5(monkeypatch, capsys, violations,
     code, out, err = run_cli(capsys, ["sweep", "--n", "2"])
     assert code == 5 and "no violations" not in out
     assert err == message + "\n"
+
+
+def test_sweep_names_a_wrong_dense_verdict(monkeypatch, capsys):
+    """sweep checks each subset against its own verdict: a perfect verdict
+    flipped at one dense perfect mask off the Bierbrauer-Friedman equality
+    is a violation at that mask, for the API and for the CLI."""
+    s, n1, perfect, b, c, cor, n1_spec = theorem._all_subsets(4)
+    mask = 16380
+    assert perfect[mask] and 2 * s[mask] > 16
+    assert theorem._bf_margin(4, s[mask], cor[mask]) != 0
+    wrong = perfect.copy()
+    wrong[mask] = False
+    monkeypatch.setattr(theorem, "_all_subsets",
+                        lambda n: (s, n1, wrong, b, c, cor, n1_spec))
+    assert mask in theorem.sweep(4).violations
+    code, out, err = run_cli(capsys, ["sweep", "--n", "4"])
+    assert code == 5 and "no violations" not in out
+    assert err.startswith("VIOLATION at masks (") and str(mask) in err
 
 
 def test_sweep_out_of_range_exit2(capsys):

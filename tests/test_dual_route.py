@@ -2,7 +2,8 @@
 the dual distribution D.  These tests hold it to the direct routes: the
 verdict and the matrix of the neighbour scan `check_perfect`, and N_1 from
 `conftest.n1_direct` (the pairwise `distance_distribution` for small sets, a
-numpy pair count for large ones)."""
+numpy pair count for large ones); and the half of `verify` that reads the
+report off D, fed the cross-check route's D, to `verify` itself."""
 import random
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from boolcube import (VertexSet, affine_coloring, backtrack_search,
                       check_perfect, complement, half_cube, hamming_code,
                       sweep, verify)
-from boolcube import coloring, macwilliams
+from boolcube import coloring, macwilliams, theorem
 from boolcube.cli import build_report
 from boolcube.coloring import ParameterMatrix, _all_subsets
 from boolcube.cube_core import _pack
@@ -103,6 +104,34 @@ def test_verify_matches_the_scan_on_random_sets_large_n(n):
     density = rng.choice([0.01, 0.3, 0.5, 0.8])
     a = (rng.random(1 << n) < density).astype(np.uint8)
     _check_against_direct_routes(VertexSet(n, _pack(a)))
+
+
+def _check_whole_report(S: VertexSet) -> None:
+    """The cross-check route's D of the analysed set T, fed to the half of
+    `verify` that reads the report off D, gives verify's whole report."""
+    rep = verify(S)
+    T = complement(S) if rep.complemented else S
+    dual = macwilliams.macwilliams_from_distances(
+        macwilliams.distance_distribution(T))
+    assert theorem._report(dual, rep.complemented) == rep
+
+
+@PROPERTY
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.integers(1, (1 << (1 << n)) - 2).map(
+        lambda mask: VertexSet(n, mask))))
+def test_report_of_the_pairwise_dual_is_verify(S):
+    _check_whole_report(S)
+
+
+SMALL_PERFECT = [(name, S) for name, S in PERFECT
+                 if min(S.size, (1 << S.n) - S.size) <= 4096]
+
+
+@pytest.mark.parametrize("S", [S for _, S in SMALL_PERFECT],
+                         ids=[name for name, _ in SMALL_PERFECT])
+def test_report_of_the_pairwise_dual_is_verify_on_perfect_colorings(S):
+    _check_whole_report(S)
 
 
 def test_verify_runs_no_neighbour_scan(monkeypatch, hamming7):

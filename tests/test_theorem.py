@@ -46,8 +46,6 @@ def test_verify_complements_dense_sets():
     r = verify(S)
     assert r.complemented and r.rho == Fraction(1, 8)
     assert r.slack == Fraction(5, 4)
-    with pytest.raises(ValueError):
-        verify(S, allow_complement=False)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 14, 20])
